@@ -8,7 +8,7 @@ Output lands next to this script in demos/output/.
 import json
 import pathlib
 
-from tilescope import DigitSet, approx, intervals_json, tower_svg
+from tilescope import DigitSet, covers, intervals_json, tower_svg
 
 print(__doc__)
 
@@ -21,7 +21,7 @@ for name, base, digits, levels in [
     ("two_stage", 4, (0, 1, 32, 33), 5),
 ]:
     d = DigitSet(base, digits)
-    unions = [approx(d, k) for k in range(1, levels + 1)]
+    unions = covers(d, levels)
     svg_path = out_dir / f"{name}.svg"
     svg_path.write_text(tower_svg(d, unions, width=900, height=300))
     json_path = out_dir / f"{name}.json"

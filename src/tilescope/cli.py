@@ -19,7 +19,7 @@ from itertools import combinations
 from typing import Any, TextIO
 
 from .core import DigitSet, expand
-from .geometry import approx, intervals_json, tower_svg
+from .geometry import covers, intervals_json, tower_svg
 from .report import (
     EXIT_OK,
     EXIT_USAGE,
@@ -157,7 +157,7 @@ def _cmd_search(args: argparse.Namespace, out: TextIO) -> int:
 
 def _cmd_render(args: argparse.Namespace, out: TextIO) -> int:
     d = DigitSet(args.base, tuple(_parse_digits(args.digits)))
-    unions = [approx(d, k) for k in range(1, args.k + 1)]
+    unions = covers(d, args.k)
     if args.format == "svg":
         payload = tower_svg(d, unions, width=args.width, height=args.height)
     else:

@@ -1,48 +1,67 @@
 """Interval-union outer approximations of the attractor of a digit set.
 
 The attractor of ``x -> (x + d) / b`` over the digits lies inside the
-hull ``[min/(b-1), max/(b-1)]``; pushing the hull through ``k`` rounds of
-the maps covers it by one interval per level-``k`` expansion value.  The
-approximations are nested, their total lengths are non-increasing, and
-for a tile they never undershoot the exact measure ``1 / density`` of a
-verified tiling set.  Endpoints are exact rationals with denominator
-dividing ``b**k * (b - 1)``.
+hull ``[min/(b-1), max/(b-1)]``.  It is the fixed point of those maps
+(Hutchinson), so each cover follows from the one before: the level-``k``
+cover is ``merge(union_d (Cover_{k-1} + d) / b)``, starting from the hull
+at level 0.  That is the same point set as one hull copy per level-``k``
+expansion value, so a level costs one sort-and-merge of ``b`` times the
+previous level's merged intervals, not ``b**k`` expansion values.
+
+Endpoints are integer numerators over the common denominator
+``b**k * (b - 1)``; the copy for digit ``d`` shifts every numerator by
+``d * b**(k-1) * (b - 1)``.  The approximations are nested, their total
+lengths are non-increasing, and for a tile they never undershoot the
+exact measure ``1 / density`` of a verified tiling set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
+from math import gcd, lcm
 
-from .core import DigitSet, PeriodicSet, expand
+from .core import DigitSet, PeriodicSet, _check_level
 from .tiling import tile_measure
 
 Interval = tuple[Fraction, Fraction]
+Bounds = tuple[int, int]
 
 
 @dataclass(frozen=True)
 class IntervalUnion:
-    """Disjoint, sorted closed intervals with exact rational endpoints."""
+    """Disjoint, sorted closed intervals ``[lo / denominator, hi / denominator]``."""
 
     level: int
-    intervals: tuple[Interval, ...]
+    denominator: int
+    bounds: tuple[Bounds, ...]
 
     def __post_init__(self):
-        for (alo, ahi), (blo, bhi) in zip(self.intervals, self.intervals[1:]):
+        for (alo, ahi), (blo, bhi) in zip(self.bounds, self.bounds[1:]):
             assert alo <= ahi and ahi < blo, "intervals must be disjoint and sorted"
 
     @property
+    def intervals(self) -> tuple[Interval, ...]:
+        den = self.denominator
+        return tuple((Fraction(lo, den), Fraction(hi, den)) for lo, hi in self.bounds)
+
+    @property
     def total_length(self) -> Fraction:
-        return sum((hi - lo for lo, hi in self.intervals), start=Fraction(0))
+        return Fraction(sum(hi - lo for lo, hi in self.bounds), self.denominator)
 
     def covers(self, other: "IntervalUnion") -> bool:
         """Whether every interval of ``other`` lies inside this union."""
-        mine = iter(self.intervals)
+        common = lcm(self.denominator, other.denominator)
+        mine_scale = common // self.denominator
+        other_scale = common // other.denominator
+        mine = iter(self.bounds)
         cur = next(mine, None)
-        for lo, hi in other.intervals:
-            while cur is not None and cur[1] < lo:
+        for lo, hi in other.bounds:
+            lo, hi = lo * other_scale, hi * other_scale
+            while cur is not None and cur[1] * mine_scale < lo:
                 cur = next(mine, None)
-            if cur is None or not (cur[0] <= lo and hi <= cur[1]):
+            if cur is None or not (cur[0] * mine_scale <= lo and hi <= cur[1] * mine_scale):
                 return False
         return True
 
@@ -52,27 +71,61 @@ def hull(d: DigitSet) -> Interval:
     return Fraction(d.digits[0], d.base - 1), Fraction(d.digits[-1], d.base - 1)
 
 
-def _merge(intervals: list[Interval]) -> tuple[Interval, ...]:
-    # Touching intervals merge; total length is unaffected.
-    merged: list[Interval] = []
-    for lo, hi in intervals:
-        if merged and lo <= merged[-1][1]:
-            if hi > merged[-1][1]:
-                merged[-1] = (merged[-1][0], hi)
-        else:
-            merged.append((lo, hi))
+def _merge(pieces: list[Bounds]) -> tuple[Bounds, ...]:
+    # Pieces sorted by lower end; touching intervals merge, which leaves
+    # the total length unchanged.
+    merged: list[Bounds] = []
+    cur_lo, cur_hi = pieces[0]
+    for lo, hi in pieces:
+        if lo > cur_hi:
+            merged.append((cur_lo, cur_hi))
+            cur_lo, cur_hi = lo, hi
+        elif hi > cur_hi:
+            cur_hi = hi
+    merged.append((cur_lo, cur_hi))
     return tuple(merged)
+
+
+def covers(d: DigitSet, k_max: int) -> list[IntervalUnion]:
+    """Outer covers of levels ``1..k_max``, each built from the one before.
+
+    The work cap of :func:`~tilescope.core.expand` (``b**k_max`` within
+    ``MAX_EXPANSION_TERMS``) is checked before level 1 is built.
+    """
+    if k_max < 1:
+        return []
+    _check_level(d.base, k_max)
+    den = d.base - 1
+    bounds: tuple[Bounds, ...] = ((d.digits[0], d.digits[-1]),)
+    unions = []
+    for level in range(1, k_max + 1):
+        shifts = [digit * den for digit in d.digits]
+        bounds = _merge(sorted([(lo + s, hi + s) for s in shifts for lo, hi in bounds]))
+        den *= d.base
+        unions.append(IntervalUnion(level, den, bounds))
+    return unions
 
 
 def approx(d: DigitSet, level: int) -> IntervalUnion:
     """Level-``level`` outer cover: one hull copy per expansion value, merged."""
-    lo, hi = hull(d)
-    scale = d.base**level
-    pieces = [
-        (Fraction(v + lo, scale), Fraction(v + hi, scale))
-        for v in expand(d, level).values
-    ]
-    return IntervalUnion(level, _merge(pieces))
+    _check_level(d.base, level)
+    return covers(d, level)[-1]
+
+
+def approx_oracle(d: DigitSet, level: int) -> IntervalUnion:
+    """:func:`approx` by the per-value construction, as a test oracle.
+
+    Enumerates every digit string of length ``level``, places one hull
+    copy at its value ``sum(d_i * b**i)`` and merges; ``b**level`` work.
+    """
+    _check_level(d.base, level)
+    b = d.base
+    weights = [(b - 1) * b**i for i in range(level)]
+    values = {sum(w * x for w, x in zip(weights, s)) for s in product(d.digits, repeat=level)}
+    lo, hi = d.digits[0], d.digits[-1]
+    return IntervalUnion(
+        level, b**level * (b - 1), _merge([(v + lo, v + hi) for v in sorted(values)])
+    )
 
 
 @dataclass(frozen=True)
@@ -93,9 +146,14 @@ def measure_report(
     """Lengths of the level-1..k_max covers, with the 1/density target if given."""
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
-    lengths = tuple(approx(d, k).total_length for k in range(1, k_max + 1))
+    lengths = tuple(u.total_length for u in covers(d, k_max))
     target = None if tiling_set is None else tile_measure(tiling_set)
     return MeasureReport(lengths, target)
+
+
+def _reduced(n: int, den: int) -> tuple[int, int]:
+    g = gcd(n, den)
+    return n // g, den // g
 
 
 def intervals_json(d: DigitSet, unions: list[IntervalUnion]) -> dict:
@@ -107,8 +165,8 @@ def intervals_json(d: DigitSet, unions: list[IntervalUnion]) -> dict:
             {
                 "k": u.level,
                 "intervals": [
-                    [lo.numerator, lo.denominator, hi.numerator, hi.denominator]
-                    for lo, hi in u.intervals
+                    [*_reduced(lo, u.denominator), *_reduced(hi, u.denominator)]
+                    for lo, hi in u.bounds
                 ],
                 "total_length": [
                     u.total_length.numerator,
@@ -128,14 +186,9 @@ def tower_svg(
     The x axis is linear over the hull; each interval becomes one
     rectangle in its level's band.
     """
-    lo, hi = hull(d)
-    span = hi - lo if hi > lo else Fraction(1)
     margin = 40
     plot_w = width - 2 * margin
     band_h = (height - 2 * margin) / max(len(unions), 1)
-
-    def x_of(v: Fraction) -> float:
-        return margin + float((v - lo) / span) * plot_w
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -144,12 +197,20 @@ def tower_svg(
         f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
     ]
     for row, u in enumerate(unions):
+        # (n / den - min/(b-1)) / (span/(b-1)) as one exact int/int division,
+        # which rounds correctly, like float(Fraction).
+        origin = d.digits[0] * u.denominator
+        scale = d.span * u.denominator
+
+        def x_of(n: int) -> float:
+            return margin + (n * (d.base - 1) - origin) / scale * plot_w
+
         y = margin + row * band_h
         parts.append(
             f'<text x="{margin - 32:.2f}" y="{y + band_h / 2:.2f}" '
             f'font-size="12" dominant-baseline="middle">k={u.level}</text>'
         )
-        for ilo, ihi in u.intervals:
+        for ilo, ihi in u.bounds:
             x = x_of(ilo)
             w = max(x_of(ihi) - x, 0.5)
             parts.append(

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -213,6 +214,21 @@ class TestRender:
         levels = json.loads(out)["levels"]
         num, den = levels[-1]["total_length"]
         assert num / den < 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("render", "-b", "3", "-d", "0,1,2", "-k", "40"),
+            ("analyze", "-b", "3", "-d", "0,1,2", "--kmax", "40"),
+        ],
+    )
+    def test_level_cap_checked_before_work(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 2
+        assert code == 2 and out == ""
+        assert err.startswith("error: level 40 too large for base 3")
+        assert err.count("\n") == 1
 
 
 class TestInstalledEntryPoint:

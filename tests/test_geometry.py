@@ -1,6 +1,8 @@
 """Interval covers, measure convergence, and plot emission."""
 
 import json
+import pathlib
+import time
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 
@@ -10,8 +12,11 @@ from hypothesis import strategies as st
 
 from tilescope import (
     DigitSet,
+    ExpansionLimitError,
     PeriodicSet,
     approx,
+    approx_oracle,
+    covers,
     hull,
     intervals_json,
     measure_report,
@@ -19,10 +24,10 @@ from tilescope import (
 )
 
 
-def digit_sets(max_base=5, max_digit=20):
+def digit_sets(max_base=5, max_digit=20, min_digit=0):
     return st.integers(2, max_base).flatmap(
         lambda b: st.lists(
-            st.integers(0, max_digit), min_size=b, max_size=b, unique=True
+            st.integers(min_digit, max_digit), min_size=b, max_size=b, unique=True
         ).map(lambda ds: DigitSet(b, tuple(ds)))
     )
 
@@ -121,3 +126,51 @@ class TestEmission:
         rects = [el for el in root.iter() if el.tag.endswith("rect")]
         # background plus two rectangles per level once merged
         assert len(rects) == 1 + 2 * 3
+
+
+class TestCovers:
+    @settings(max_examples=80)
+    @given(digit_sets(max_digit=30, min_digit=-30), st.integers(1, 4))
+    def test_recursion_matches_per_value_oracle(self, d, k_max):
+        # signed digits: negative, unnormalized and common-factor sets
+        unions = covers(d, k_max)
+        assert [u.level for u in unions] == list(range(1, k_max + 1))
+        for k, union in enumerate(unions, start=1):
+            assert union == approx_oracle(d, k)
+
+    def test_no_levels(self):
+        assert covers(DigitSet(2, (0, 1)), 0) == []
+
+    def test_cap_checked_before_level_one(self):
+        d = DigitSet(3, (0, 1, 2))
+        start = time.perf_counter()
+        for build in (
+            lambda: covers(d, 40),
+            lambda: approx(d, 40),
+            lambda: measure_report(d, 40),
+        ):
+            with pytest.raises(ExpansionLimitError, match="level 40 too large"):
+                build()
+        assert time.perf_counter() - start < 1
+
+
+class TestGoldenTowers:
+    """The towers of demos/06_render_towers.py, against the committed output."""
+
+    OUTPUT = pathlib.Path(__file__).resolve().parents[1] / "demos" / "output"
+
+    @pytest.mark.parametrize(
+        "name, base, digits, levels",
+        [
+            ("product_form", 4, (0, 1, 8, 9), 5),
+            ("non_tile", 4, (0, 1, 2, 5), 5),
+            ("two_stage", 4, (0, 1, 32, 33), 5),
+        ],
+    )
+    def test_bytes_match(self, name, base, digits, levels):
+        d = DigitSet(base, digits)
+        unions = covers(d, levels)
+        svg = tower_svg(d, unions, width=900, height=300)
+        payload = json.dumps(intervals_json(d, unions), indent=2) + "\n"
+        assert svg.encode() == (self.OUTPUT / f"{name}.svg").read_bytes()
+        assert payload.encode() == (self.OUTPUT / f"{name}.json").read_bytes()
