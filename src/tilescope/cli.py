@@ -89,6 +89,8 @@ def run_search(
         raise ValueError(f"search base {base} exceeds the default cap {max_base}")
     if bound > max_bound:
         raise ValueError(f"search bound {bound} exceeds the default cap {max_bound}")
+    if m_max < 1:
+        raise ValueError(f"m_max must be >= 1, got {m_max}")
     corpus = enumerate_normalized(base, bound)
     if len(corpus) > MAX_SEARCH_SETS:
         raise ValueError(
@@ -156,6 +158,8 @@ def _cmd_search(args: argparse.Namespace, out: TextIO) -> int:
 
 
 def _cmd_render(args: argparse.Namespace, out: TextIO) -> int:
+    if args.k < 1:
+        raise ValueError(f"level must be >= 1, got {args.k}")
     d = DigitSet(args.base, tuple(_parse_digits(args.digits)))
     unions = covers(d, args.k)
     if args.format == "svg":

@@ -3,21 +3,28 @@
 The mask polynomial of a finite integer set A is ``sum of x**a`` over
 ``a`` in A (after translating the minimum to 0).  Which cyclotomic
 polynomials divide it controls both tiling and spectral structure, so
-everything here is integer-exact: cyclotomic polynomials are computed by
-exact division, divisibility is an exact polynomial remainder, and
-vanishing of root-of-unity exponential sums is decided through cyclotomic
-divisibility rather than floating point.
+everything here is integer-exact and no decision uses floating point.
 
-The (T1)/(T2) conditions and the resulting explicit spectrum construction
-follow the Coven-Meyerowitz / Laba line: (T1) equates #A with the product
-of the primes under its prime-power support, (T2) asks for divisibility at
-products of coprime support entries, and together they yield the spectrum
-``{sum of k_s / s}`` in the cyclic group of order lcm(support).
+Divisibility works on the mask reduced mod ``x**s - 1``, which Phi_s
+divides: the counts of A's residues mod s.  For a prime power s = p**k,
+Phi_s divides the mask exactly when those counts are equal along every
+coset of p**(k-1), an O(#A) test with no polynomial at all; any other s
+divides the length-s count vector by Phi_s.  The dense division of the
+whole mask is kept as the test oracle :func:`divides_oracle`.
+
+The prime-power support of A, computed once by :func:`support`, carries
+everything the Coven-Meyerowitz / Laba conditions need.  Since
+Phi_{p**k}(1) = p, only primes dividing #A can enter it.  (T1) equates
+#A with the product of the primes under the support, (T2) asks for
+divisibility at products of coprime support entries, and together they
+yield the spectrum ``{sum of k_s / s}`` in the cyclic group of order
+lcm(support).
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -36,9 +43,10 @@ class IntPolynomial:
 
     def __post_init__(self):
         c = tuple(self.coeffs)
-        while c and c[-1] == 0:
-            c = c[:-1]
-        object.__setattr__(self, "coeffs", c)
+        n = len(c)
+        while n and c[n - 1] == 0:
+            n -= 1
+        object.__setattr__(self, "coeffs", c[:n])
 
     @classmethod
     def zero(cls) -> "IntPolynomial":
@@ -200,8 +208,52 @@ def mask_poly(a: Iterable[int]) -> IntPolynomial:
     return IntPolynomial.from_exponents(v - vals[0] for v in vals)
 
 
+def _prime_divisors(n: int) -> list[int]:
+    out, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def _equal_on_cosets(vals: list[int], s: int, p: int) -> bool:
+    """Whether Phi_s divides the mask, for s = p**k, by residue counts.
+
+    Phi_s(x) is the sum of x**(j*q) over j < p with q = s / p, so the
+    multiples of Phi_s below degree s have equal coefficients at r, r + q,
+    ..., r + (p-1)q.  Following each count to the next one along its coset
+    checks every coset that A meets; cosets it misses are all zeros.
+    """
+    counts = Counter(v % s for v in vals)
+    q = s // p
+    return all(counts[(r + q) % s] == c for r, c in counts.items())
+
+
 def divides(s: int, a: Iterable[int]) -> bool:
     """Whether the s-th cyclotomic polynomial divides the mask of the set."""
+    if s < 2:
+        raise ValueError(f"s must be >= 2, got {s}")
+    vals = sorted(set(a))
+    if not vals:
+        raise ValueError("mask polynomial of an empty set")
+    p = prime_power_root(s)
+    if p is not None:
+        return _equal_on_cosets(vals, s, p)
+    low = vals[0]
+    counts = [0] * min(s, vals[-1] - low + 1)
+    for v in vals:
+        counts[(v - low) % s] += 1
+    _, rem = IntPolynomial(tuple(counts)).divmod_monic(cyclotomic_poly(s))
+    return rem.is_zero
+
+
+def divides_oracle(s: int, a: Iterable[int]) -> bool:
+    """:func:`divides` by dense division of the whole mask; the test oracle."""
     if s < 2:
         raise ValueError(f"s must be >= 2, got {s}")
     _, rem = mask_poly(a).divmod_monic(cyclotomic_poly(s))
@@ -210,9 +262,14 @@ def divides(s: int, a: Iterable[int]) -> bool:
 
 @dataclass(frozen=True)
 class PrimePowerSupport:
-    """The prime powers whose cyclotomic polynomials divide a mask."""
+    """The prime powers whose cyclotomic polynomials divide a set's mask.
+
+    ``values`` is the set itself, sorted; the (T1)/(T2) conditions and the
+    Laba spectrum are read from the entries together with it.
+    """
 
     entries: tuple[int, ...]
+    values: tuple[int, ...]
 
     def __post_init__(self):
         entries = tuple(sorted(set(self.entries)))
@@ -220,6 +277,7 @@ class PrimePowerSupport:
             if prime_power_root(e) is None:
                 raise ValueError(f"{e} is not a prime power > 1")
         object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "values", tuple(sorted(set(self.values))))
 
     def __iter__(self):
         return iter(self.entries)
@@ -239,55 +297,84 @@ class PrimePowerSupport:
     def prime_product(self) -> int:
         return math.prod(self.primes)
 
+    @property
+    def t1(self) -> bool:
+        """Size condition: #A equals the product of the support's primes."""
+        return len(self.values) == self.prime_product
+
+    def t2(self, strict: bool = False) -> bool:
+        """Divisibility at products of support entries for distinct primes.
+
+        For every subset of the support of size >= 2 whose entries are
+        powers of pairwise distinct primes, the cyclotomic polynomial of the
+        product must divide the mask.  ``strict=True`` widens the subsets to
+        all combinations of distinct entries (powers of one prime included),
+        a literal reading that is strictly harder to satisfy.
+        """
+        for k in range(2, len(self.entries) + 1):
+            for combo in combinations(self.entries, k):
+                if not strict:
+                    primes = [prime_power_root(e) for e in combo]
+                    if len(set(primes)) != len(primes):
+                        continue
+                if not divides(math.prod(combo), self.values):
+                    return False
+        return True
+
+    def spectrum(self) -> "RationalSpectrum":
+        """The explicit spectrum ``{sum of k_s / s mod 1}`` of a (T1)+(T2) set.
+
+        One term per support entry s = p**alpha with k_s ranging over
+        0..p-1; the sums are reduced into [0, 1) and are pairwise distinct,
+        giving exactly #A elements with common denominator lcm(support).
+        """
+        vals = list(self.values)
+        if not self.t1:
+            raise ValueError(f"(T1) fails for {vals}")
+        if not self.t2():
+            raise ValueError(f"(T2) fails for {vals}")
+        elements = set()
+        ranges = [range(prime_power_root(s)) for s in self.entries]
+        for ks in product(*ranges):
+            total = sum(
+                (Fraction(k, s) for k, s in zip(ks, self.entries)),
+                start=Fraction(0),
+            )
+            elements.add(total % 1)
+        spectrum = RationalSpectrum(tuple(sorted(elements)), self.lcm)
+        assert len(spectrum) == len(vals)
+        return spectrum
+
 
 def support(a: Iterable[int]) -> PrimePowerSupport:
     """All prime powers s with the s-th cyclotomic dividing the mask of A.
 
-    A divisor must have degree phi(s) at most the mask degree, so testing
-    every prime power with phi(s) <= max(A) - min(A) is exhaustive.
+    A divisor must have degree phi(s) at most the mask degree, and
+    Phi_{p**k}(1) = p must divide A(1) = #A, so testing the powers of the
+    primes of #A with phi(s) <= max(A) - min(A) is exhaustive.
     """
     vals = sorted(set(a))
     if not vals:
         raise ValueError("support of an empty set")
     span = vals[-1] - vals[0]
     found = []
-    for p in range(2, span + 2):
-        if prime_power_root(p) != p:
-            continue
+    for p in _prime_divisors(len(vals)):
         s = p
-        while euler_phi(s) <= span:
-            if divides(s, vals):
+        while s // p * (p - 1) <= span:
+            if _equal_on_cosets(vals, s, p):
                 found.append(s)
             s *= p
-    return PrimePowerSupport(tuple(sorted(found)))
+    return PrimePowerSupport(tuple(found), tuple(vals))
 
 
 def check_t1(a: Iterable[int]) -> bool:
     """Size condition: #A equals the product of the support's primes."""
-    vals = set(a)
-    return len(vals) == support(vals).prime_product
+    return support(a).t1
 
 
 def check_t2(a: Iterable[int], strict: bool = False) -> bool:
-    """Divisibility at products of support entries for distinct primes.
-
-    For every subset of the support of size >= 2 whose entries are powers
-    of pairwise distinct primes, the cyclotomic polynomial of the product
-    must divide the mask.  ``strict=True`` widens the subsets to all
-    combinations of distinct entries (powers of one prime included), a
-    literal reading that is strictly harder to satisfy.
-    """
-    vals = sorted(set(a))
-    entries = support(vals).entries
-    for k in range(2, len(entries) + 1):
-        for combo in combinations(entries, k):
-            if not strict:
-                primes = [prime_power_root(e) for e in combo]
-                if len(set(primes)) != len(primes):
-                    continue
-            if not divides(math.prod(combo), vals):
-                return False
-    return True
+    """(T2) for the set; see :meth:`PrimePowerSupport.t2`."""
+    return support(a).t2(strict)
 
 
 @dataclass(frozen=True)
@@ -326,28 +413,12 @@ class RationalSpectrum:
 
 
 def laba_spectrum(a: Iterable[int]) -> RationalSpectrum:
-    """The explicit spectrum ``{sum of k_s / s mod 1}`` of a (T1)+(T2) set.
+    """The explicit spectrum of a (T1)+(T2) set.
 
-    One term per support entry s = p**alpha with k_s ranging over
-    0..p-1; the sums are reduced into [0, 1) and are pairwise distinct,
-    giving exactly #A elements with common denominator lcm(support).
+    See :meth:`PrimePowerSupport.spectrum`; raises ValueError when (T1) or
+    (T2) fails.
     """
-    vals = sorted(set(a))
-    if not check_t1(vals):
-        raise ValueError(f"(T1) fails for {vals}")
-    if not check_t2(vals):
-        raise ValueError(f"(T2) fails for {vals}")
-    supp = support(vals)
-    elements = set()
-    ranges = [range(prime_power_root(s)) for s in supp]
-    for ks in product(*ranges):
-        total = sum(
-            (Fraction(k, s) for k, s in zip(ks, supp)), start=Fraction(0)
-        )
-        elements.add(total % 1)
-    spectrum = RationalSpectrum(tuple(sorted(elements)), supp.lcm)
-    assert len(spectrum) == len(vals)
-    return spectrum
+    return support(a).spectrum()
 
 
 def vanishes_at(a: Iterable[int], m: int, n: int) -> bool:

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Any
 
 from .core import expand, normalize
-from .cyclotomic import check_t1, check_t2, laba_spectrum, support
+from .cyclotomic import PrimePowerSupport, support
 from .geometry import measure_report
 from .skewform import SkewDecomposition, skew_decompose, verify_decomposition
 from .spectral import AnLaiReport, SpectralConditionError, build_spectral_data
@@ -55,14 +55,14 @@ def _spectrum_json(elements, denominator: int) -> dict[str, Any]:
     }
 
 
-def _cyclo_part(values, strict_gate: bool) -> dict[str, Any]:
+def _cyclo_part(supp: PrimePowerSupport, strict_gate: bool) -> dict[str, Any]:
     """Support, (T1)/(T2) flags, and the spectrum when the gate passes."""
-    supp = support(values)
-    t1 = check_t1(values)
-    t2 = check_t2(values)
-    t2_strict = check_t2(values, strict=True)
+    t1 = supp.t1
+    t2 = supp.t2()
+    # every subset the relaxed reading tests, the strict one tests too
+    t2_strict = t2 and supp.t2(strict=True)
     part: dict[str, Any] = {
-        "set": sorted(values),
+        "set": list(supp.values),
         "support": list(supp.entries),
         "t1": t1,
         "t2": t2,
@@ -70,7 +70,7 @@ def _cyclo_part(values, strict_gate: bool) -> dict[str, Any]:
     }
     gate = t1 and t2 and (t2_strict or not strict_gate)
     if gate:
-        spec = laba_spectrum(values)
+        spec = supp.spectrum()
         part["spectrum"] = _spectrum_json(spec.elements, spec.denominator)
     else:
         part["spectrum"] = None
@@ -183,10 +183,13 @@ def analyze_digit_set(
         dec, verify_decomposition(dec, level_values)
     )
 
+    supports = {
+        part: support(part) for part in dict.fromkeys((d.digits, dec.A, *dec.Bs))
+    }
     report["cyclotomic"] = {
-        "full": _cyclo_part(d.digits, strict_t2),
-        "A": _cyclo_part(dec.A, strict_t2),
-        "B": [_cyclo_part(b, strict_t2) for b in dec.Bs],
+        "full": _cyclo_part(supports[d.digits], strict_t2),
+        "A": _cyclo_part(supports[dec.A], strict_t2),
+        "B": [_cyclo_part(supports[b], strict_t2) for b in dec.Bs],
     }
 
     try:

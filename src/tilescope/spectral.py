@@ -15,22 +15,14 @@ counting identity #(L1 + L2) == modulus with a complete residue system.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .core import residues_mod
-from .cyclotomic import (
-    RationalSpectrum,
-    check_t1,
-    check_t2,
-    laba_spectrum,
-    support,
-    vanishes_at,
-)
+from .cyclotomic import RationalSpectrum, support, vanishes_at
 from .skewform import SkewDecomposition
 
 # Level cap for truncated spectra: the pair verification is quadratic in
@@ -83,11 +75,15 @@ def unitarity_residual(n: int, a: Sequence[int], ell: Sequence[int]) -> float:
     Cross-validation only: exact truth comes from :func:`is_hadamard`.
     """
     sa, sl = sorted(set(a)), sorted(set(ell))
-    mat = np.exp(
-        2j * np.pi * np.outer(np.array(sa), np.array(sl)) / n
-    ) / math.sqrt(len(sa))
-    gram = mat.conj().T @ mat
-    return float(np.abs(gram - np.eye(len(sl))).max())
+    cols = [
+        [cmath.exp(2j * cmath.pi * (x * c % n) / n) for x in sa] for c in sl
+    ]
+    worst = 0.0
+    for i, u in enumerate(cols):
+        for j, v in enumerate(cols):
+            entry = sum(p.conjugate() * q for p, q in zip(u, v)) / len(sa)
+            worst = max(worst, abs(entry - (i == j)))
+    return worst
 
 
 @dataclass(frozen=True)
@@ -135,25 +131,25 @@ def build_spectral_data(dec: SkewDecomposition) -> AnLaiReport:
     if dec.stage != 1:
         raise ValueError("spectral data needs a 1-stage decomposition; lift first")
     n = dec.base
-    part_flags: dict[str, tuple[bool, bool]] = {
-        "A": (check_t1(dec.A), check_t2(dec.A))
-    }
+    supports = {part: support(part) for part in dict.fromkeys((dec.A, *dec.Bs))}
+    flags = {part: (supp.t1, supp.t2()) for part, supp in supports.items()}
+    part_flags = {"A": flags[dec.A]}
     for j, b in enumerate(dec.Bs):
-        part_flags[f"B{j}"] = (check_t1(b), check_t2(b))
+        part_flags[f"B{j}"] = flags[b]
     bad = sorted(k for k, (t1, t2) in part_flags.items() if not (t1 and t2))
     if bad:
         raise SpectralConditionError(
             f"(T1)/(T2) fails for parts {bad}", part_flags
         )
-    supports_b = [support(b).entries for b in dec.Bs]
+    supports_b = [supports[b].entries for b in dec.Bs]
     if len(set(supports_b)) != 1:
         raise SpectralConditionError(
             f"blocks have differing supports {sorted(set(supports_b))}", part_flags
         )
-    supp_a = support(dec.A)
+    supp_a = supports[dec.A]
     supp_b = supports_b[0]
-    l1 = laba_spectrum(dec.A).scaled(n)
-    l2 = laba_spectrum(dec.Bs[0]).scaled(n)
+    l1 = supp_a.spectrum().scaled(n)
+    l2 = supports[dec.Bs[0]].spectrum().scaled(n)
     joint = tuple(
         is_hadamard(n, [x + u for x in dec.A for u in b], _sumset(l1, l2))
         for b in dec.Bs

@@ -30,6 +30,9 @@ from .core import (
 # Residue chains stay small for tiles, but guard against runaway growth on
 # adversarial inputs.
 MAX_CHAIN_RESIDUES = 1 << 22
+# Carry automata hold 2*bound + 1 states.  The cap admits base 3
+# {0, 1, 1000002}, 1000003 states, whose walk peaks near 1.3 GB of memory.
+MAX_AUTOMATON_STATES = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -77,6 +80,11 @@ class CarryAutomaton:
         self.base = d.base
         self.digits = d.digits
         self.bound = d.span // (d.base - 1)
+        if 2 * self.bound + 1 > MAX_AUTOMATON_STATES:
+            raise ValueError(
+                f"carry automaton needs {2 * self.bound + 1} states, over the cap "
+                f"{MAX_AUTOMATON_STATES}"
+            )
         self.states = tuple(range(-self.bound, self.bound + 1))
         fwd: dict[int, list[tuple[int, int, int]]] = {c: [] for c in self.states}
         rev: dict[int, list[tuple[int, int, int]]] = {c: [] for c in self.states}

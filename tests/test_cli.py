@@ -87,6 +87,13 @@ class TestAnalyze:
         assert run_cli(capsys, "analyze", "-b", "4", "-d", "0,1,2")[0] == 2
         assert run_cli(capsys, "analyze", "-b", "4", "-d", "0,1,a,2")[0] == 2
 
+    def test_automaton_cap_checked_before_work(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "analyze", "-b", "3", "-d", "0,1,1000000000001")
+        assert time.perf_counter() - start < 2
+        assert code == 2 and out == ""
+        assert err.startswith("error: carry automaton needs") and err.count("\n") == 1
+
     def test_strict_t2_can_block_spectra(self, capsys):
         # support {2, 4} of the standard set fails the literal reading
         _, relaxed, _ = run_cli(capsys, "analyze", "-b", "4", "-d", "0,1,2,3", "--json")
@@ -183,6 +190,11 @@ class TestSearch:
         records, _ = run_search(13, 14, 4, workers=1, max_base=13)
         assert records  # configurable override
 
+    def test_stage_bound_checked(self, capsys):
+        code, out, err = run_cli(capsys, "search", "-b", "3", "--bound", "9", "--mmax", "0")
+        assert code == 2 and out == ""
+        assert err == "error: m_max must be >= 1, got 0\n"
+
 
 class TestRender:
     def test_svg_file(self, capsys, tmp_path):
@@ -230,6 +242,12 @@ class TestRender:
         assert err.startswith("error: level 40 too large for base 3")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("level", ["0", "-3"])
+    def test_level_must_be_positive(self, capsys, level):
+        code, out, err = run_cli(capsys, "render", "-b", "3", "-d", "0,1,2", "-k", level)
+        assert code == 2 and out == ""
+        assert err == f"error: level must be >= 1, got {level}\n"
+
 
 class TestInstalledEntryPoint:
     def test_subprocess_runs_deterministically(self):
@@ -240,3 +258,10 @@ class TestInstalledEntryPoint:
         first = subprocess.run(cmd, capture_output=True, check=True)
         second = subprocess.run(cmd, capture_output=True, check=True)
         assert first.stdout == second.stdout and first.stdout
+
+    def test_cli_import_leaves_numpy_out(self):
+        code = "import sys, tilescope.cli; print('numpy' in sys.modules)"
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        assert done.stdout == "False\n"

@@ -4,16 +4,18 @@ import cmath
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import find_tiling_complement
 from tilescope import (
     IntPolynomial,
+    analyze_digit_set,
     check_t1,
     check_t2,
     cyclotomic_poly,
     divides,
+    divides_oracle,
     euler_phi,
     laba_spectrum,
     mask_poly,
@@ -23,6 +25,20 @@ from tilescope import (
 )
 
 small_sets = st.sets(st.integers(0, 24), min_size=1, max_size=6)
+# negative, repeated and unsorted elements, spans up to 120
+raw_sets = st.lists(st.integers(-40, 80), min_size=1, max_size=10)
+
+
+@st.composite
+def divisor_cases(draw):
+    """(s, A), where A is often a multiple of Phi_s."""
+    s = draw(st.integers(2, 100))
+    a = draw(raw_sets)
+    if draw(st.booleans()):
+        # Phi_s divides 1 + x**(s/q) + ... + x**((q-1)s/q) for a prime q | s
+        q = min(p for p in range(2, s + 1) if s % p == 0)
+        a = [x + j * (s // q) for x in a for j in range(q)]
+    return s, a
 
 
 def exp_sum(a, m: int, n: int) -> complex:
@@ -118,6 +134,20 @@ class TestDivides:
         value = abs(exp_sum(a, 1, s))
         assert divides(s, a) == (value < 1e-8)
 
+    @settings(max_examples=400)
+    @given(divisor_cases())
+    def test_matches_dense_division(self, case):
+        s, a = case
+        assert divides(s, a) == divides_oracle(s, a)
+
+    def test_equal_residue_counts(self):
+        # every residue mod 4 once, then 0 and 2 (one coset of 2) once more
+        a = [0, 1, 2, 3, 4, 6]
+        assert divides(4, a) and divides_oracle(4, a)
+        assert not divides(4, a + [5]) and not divides_oracle(4, a + [5])
+        with pytest.raises(ValueError, match="empty set"):
+            divides(4, [])
+
 
 class TestSupport:
     def test_product_form(self):
@@ -140,6 +170,46 @@ class TestSupport:
     def test_lcm_and_primes(self):
         supp = support([0, 1, 8, 9])
         assert supp.lcm == 16 and supp.primes == (2, 2) and supp.prime_product == 4
+
+    @settings(max_examples=300)
+    @given(raw_sets)
+    def test_matches_dense_scan(self, a):
+        # every prime power whose cyclotomic polynomial could divide the mask
+        span = max(a) - min(a)
+        expected = tuple(
+            s
+            for s in range(2, 2 * span + 2)
+            if prime_power_root(s) is not None
+            and euler_phi(s) <= span
+            and divides_oracle(s, a)
+        )
+        supp = support(a)
+        assert supp.entries == expected
+        assert supp.values == tuple(sorted(set(a)))
+
+
+class TestSupportOnce:
+    """``analyze`` derives each set's support once per consumer."""
+
+    @pytest.mark.parametrize(
+        "base, digits",
+        [(12, [0, 1, 4, 8, 9, 17, 25, 33, 41, 72, 76, 80]), (4, [0, 1, 8, 9])],
+    )
+    def test_support_calls_per_analysis(self, monkeypatch, base, digits):
+        calls = []
+
+        def counted(a):
+            calls.append(tuple(a))
+            return support(a)
+
+        for module in ("cyclotomic", "report", "spectral"):
+            monkeypatch.setattr(f"tilescope.{module}.support", counted)
+        report, _ = analyze_digit_set(base, digits)
+        cyclo = report["cyclotomic"]
+        parts = {tuple(cyclo["A"]["set"])} | {tuple(b["set"]) for b in cyclo["B"]}
+        full = {tuple(cyclo["full"]["set"])}
+        assert report["spectral"]["all_ok"] is True
+        assert len(calls) == len(full | parts) + len(parts)
 
 
 class TestConditions:
