@@ -1,8 +1,8 @@
 """Command-line surface: analyze, search, render.
 
 Exit codes: 0 for a completed analysis (tile or not), 2 for parse or
-validation errors, 3 when chain stabilization is inconclusive within the
-search bound.  ``search`` emits one JSON line per digit set followed by a
+validation errors, 3 when no level up to --mmax is in skew product form
+(inconclusive).  ``search`` emits one JSON line per digit set followed by a
 summary line; the worker count comes from --workers, overridden by the
 ``TILESCOPE_WORKERS`` environment variable.
 """
@@ -10,15 +10,15 @@ summary line; the worker count comes from --workers, overridden by the
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from itertools import combinations
 from typing import Any, TextIO
 
-from .core import DigitSet, expand
+from .core import DigitSet
 from .geometry import covers, intervals_json, tower_svg
 from .report import (
     EXIT_OK,
@@ -27,7 +27,7 @@ from .report import (
     render_text,
     report_to_json,
 )
-from .skewform import skew_decompose
+from .skewform import least_stage
 from .tiling import is_tile
 
 MAX_SEARCH_SETS = 500_000
@@ -55,14 +55,8 @@ def _search_record(args: tuple[tuple[int, ...], int, int]) -> dict[str, Any]:
     digits, base, m_max = args
     d = DigitSet(base, digits)
     tile, witness = is_tile(d)
-    m_found = None
-    for m in range(1, m_max + 1):
-        level = expand(d, m)
-        if level.collisions:
-            break
-        if skew_decompose(level.values, base**m, 1) is not None:
-            m_found = m
-            break
+    found = least_stage(d, m_max)
+    m_found = None if found is None else found[0].level
     if tile:
         status = "tile" if m_found is not None else "inconclusive"
     else:
@@ -99,6 +93,8 @@ def run_search(
         )
     jobs = [(digits, base, m_max) for digits in corpus]
     if workers > 1 and len(jobs) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only pooled runs import it
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(
                 pool.map(_search_record, jobs, chunksize=max(len(jobs) // (4 * workers), 1))
@@ -161,6 +157,12 @@ def _cmd_render(args: argparse.Namespace, out: TextIO) -> int:
     if args.k < 1:
         raise ValueError(f"level must be >= 1, got {args.k}")
     d = DigitSet(args.base, tuple(_parse_digits(args.digits)))
+    # 40-px margins on each side, and bands more than the 4-px gap high
+    if args.width <= 80 or args.height <= 80 + 4 * args.k:
+        raise ValueError(
+            f"width must be > 80 and height > {80 + 4 * args.k} for {args.k} levels, "
+            f"got {args.width}x{args.height}"
+        )
     unions = covers(d, args.k)
     if args.format == "svg":
         payload = tower_svg(d, unions, width=args.width, height=args.height)
@@ -174,7 +176,9 @@ def _cmd_render(args: argparse.Namespace, out: TextIO) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after it."""
     parser = argparse.ArgumentParser(
         prog="tilescope",
         description="Exact analysis of integer digit sets: tiling, "
@@ -223,8 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args, sys.stdout)
     except ValueError as err:

@@ -140,30 +140,27 @@ class IntPolynomial:
 
 def prime_power_root(n: int) -> int | None:
     """The prime p when n = p**a with a >= 1, else None."""
-    if n < 2:
-        return None
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            while n % p == 0:
-                n //= p
-            return p if n == 1 else None
-        p += 1
-    return n
+    primes = _prime_divisors(n)
+    return primes[0] if len(primes) == 1 else None
 
 
 def euler_phi(n: int) -> int:
-    out, m, p = 1, n, 2
-    while p * p <= m:
-        if m % p == 0:
-            out *= p - 1
-            m //= p
-            while m % p == 0:
-                out *= p
-                m //= p
+    out = n
+    for p in _prime_divisors(n):
+        out = out // p * (p - 1)
+    return out
+
+
+def _prime_divisors(n: int) -> list[int]:
+    out, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
         p += 1
-    if m > 1:
-        out *= m - 1
+    if n > 1:
+        out.append(n)
     return out
 
 
@@ -206,19 +203,6 @@ def mask_poly(a: Iterable[int]) -> IntPolynomial:
     if not vals:
         raise ValueError("mask polynomial of an empty set")
     return IntPolynomial.from_exponents(v - vals[0] for v in vals)
-
-
-def _prime_divisors(n: int) -> list[int]:
-    out, p = [], 2
-    while p * p <= n:
-        if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def _equal_on_cosets(vals: list[int], s: int, p: int) -> bool:

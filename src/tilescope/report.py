@@ -1,9 +1,12 @@
 """Full analysis pipeline and its frozen JSON report schema.
 
-``analyze_digit_set`` runs normalize -> tile decision -> chain
-stabilization -> decomposition -> cyclotomic flags -> spectral data ->
-measure convergence, stopping early where a stage rules the rest out and
-recording the stopping stage machine-readably.  The returned report is a
+``analyze_digit_set`` runs normalize -> tile decision -> least stage ->
+tiling set -> cyclotomic flags -> spectral data -> measure convergence,
+stopping early where a stage rules the rest out and recording the
+stopping stage machine-readably.  The least stage m and the
+decomposition of D_m come from :func:`~tilescope.skewform.least_stage`,
+the one stage finder that ``search`` uses as well; the tiling set is
+built from the same level-m values.  The returned report is a
 plain JSON-compatible dict with deterministic key order and content:
 identical inputs give byte-identical serializations.
 
@@ -14,20 +17,14 @@ README and pinned by the test suite.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from typing import Any
 
-from .core import expand, normalize
+from .core import normalize
 from .cyclotomic import PrimePowerSupport, support
 from .geometry import measure_report
-from .skewform import SkewDecomposition, skew_decompose, verify_decomposition
+from .skewform import SkewDecomposition, least_stage, verify_decomposition
 from .spectral import AnLaiReport, SpectralConditionError, build_spectral_data
-from .tiling import (
-    is_tile,
-    self_replicating_tiling,
-    stabilization_exponent,
-    tile_measure,
-)
+from .tiling import _tiling_set, is_tile, tile_measure
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -44,17 +41,6 @@ def default_k_max(base: int) -> int:
     return k
 
 
-def _frac(x: Fraction) -> str:
-    return str(x)
-
-
-def _spectrum_json(elements, denominator: int) -> dict[str, Any]:
-    return {
-        "denominator": denominator,
-        "elements": [str(e) for e in elements],
-    }
-
-
 def _cyclo_part(supp: PrimePowerSupport, strict_gate: bool) -> dict[str, Any]:
     """Support, (T1)/(T2) flags, and the spectrum when the gate passes."""
     t1 = supp.t1
@@ -68,12 +54,13 @@ def _cyclo_part(supp: PrimePowerSupport, strict_gate: bool) -> dict[str, Any]:
         "t2": t2,
         "t2_strict": t2_strict,
     }
-    gate = t1 and t2 and (t2_strict or not strict_gate)
-    if gate:
+    part["spectrum"] = None
+    if t1 and t2 and (t2_strict or not strict_gate):
         spec = supp.spectrum()
-        part["spectrum"] = _spectrum_json(spec.elements, spec.denominator)
-    else:
-        part["spectrum"] = None
+        part["spectrum"] = {
+            "denominator": spec.denominator,
+            "elements": [str(e) for e in spec.elements],
+        }
     return part
 
 
@@ -116,8 +103,12 @@ def analyze_digit_set(
 ) -> tuple[dict[str, Any], int]:
     """Run the whole pipeline; returns (report dict, exit code)."""
     d, offset, scale = normalize(digits, base)
+    if m_max < 1:
+        raise ValueError(f"m_max must be >= 1, got {m_max}")
     if k_max is None:
         k_max = default_k_max(base)
+    elif k_max < 1:
+        raise ValueError(f"k_max must be >= 1, got {k_max}")
     report: dict[str, Any] = {
         "command": "analyze",
         "input": {"base": base, "digits": sorted(digits)},
@@ -153,34 +144,27 @@ def analyze_digit_set(
         report["stopped_after"] = "tile_check"
         return report, EXIT_OK
 
-    m = stabilization_exponent(d, m_max)
+    found = least_stage(d, m_max)
     report["stabilization"] = {
-        "m": m,
+        "m": None if found is None else found[0].level,
         "m_max": m_max,
-        "inconclusive": m is None,
+        "inconclusive": found is None,
     }
-    if m is None:
+    if found is None:
         report["stopped_after"] = "stabilization"
         return report, EXIT_INCONCLUSIVE
 
-    j = self_replicating_tiling(d, m)
+    level, dec = found
+    j = _tiling_set(d, level)
     report["tiling_set"] = {
         "period": j.period,
         "residues": list(j.residues),
-        "density": _frac(j.density()),
+        "density": str(j.density()),
         "self_replicating": True,
     }
-    report["measure"] = _frac(tile_measure(j))
-
-    level_values = expand(d, m).values
-    dec = skew_decompose(level_values, d.base**m, 1)
-    if dec is None:
-        raise RuntimeError(
-            f"stabilized at m={m} but level-{m} decomposition failed: "
-            f"{list(d.digits)}"
-        )
+    report["measure"] = str(tile_measure(j))
     report["decomposition"] = _decomposition_json(
-        dec, verify_decomposition(dec, level_values)
+        dec, verify_decomposition(dec, level.values)
     )
 
     supports = {
@@ -211,9 +195,9 @@ def analyze_digit_set(
     mr = measure_report(d, k_max, j)
     report["measure_report"] = {
         "k_max": k_max,
-        "lengths": [_frac(x) for x in mr.lengths],
-        "target": _frac(mr.target) if mr.target is not None else None,
-        "gap": _frac(mr.gap) if mr.gap is not None else None,
+        "lengths": [str(x) for x in mr.lengths],
+        "target": None if mr.target is None else str(mr.target),
+        "gap": None if mr.gap is None else str(mr.gap),
     }
     return report, EXIT_OK
 

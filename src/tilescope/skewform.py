@@ -9,8 +9,9 @@ of E mod ``base`` (A must inject mod base, and each block is constant mod
 representatives is needed, and success is independent of which class
 member plays a_j.
 
-Detection, verification, stage lifting, and the two classical generators
-(product form and weak product form) live here.
+Detection, the least-stage search over digit expansions, verification,
+stage lifting, and the two classical generators (product form and weak
+product form) live here.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from typing import Iterable, Mapping
 
 from .core import (
     DigitSet,
+    ExpandedDigits,
     direct_sum_complete,
     expand,
     residue_mask,
@@ -105,6 +107,36 @@ def skew_decompose(
         if not translates_cover_exactly(mask, len(reps), b, base):
             return None
     return SkewDecomposition(base, stage, reps, tuple(b for _, b in decomposed))
+
+
+def least_stage(
+    d: DigitSet, m_max: int
+) -> tuple[ExpandedDigits, SkewDecomposition] | None:
+    """Least m <= m_max with D_m in 1-stage skew product form at base b**m.
+
+    Returns the level-m expansion (built by :func:`~tilescope.core.expand`)
+    with its decomposition, or None when a level collides first or no
+    level up to m_max decomposes.
+
+    Such an m also stabilizes the chain J_k = D_k + b**k * Z.  Let D_m be
+    the blocks a_j + B*B_j with B = b**m and every A + B_j complete mod B.
+    Then J_m = A + B*Z, so J_2m = D_m + B*J_m is the union of the
+    a_j + B*(B_j + A + B*Z) = a_j + B*Z, which is J_m; the chain decreases,
+    so J_(m+1) = J_m and the tiling set built from the level values always
+    passes its self-replication check.  The converse, that J_(m+1) = J_m
+    only where D_m decomposes, is what acceptance criterion 4 tests on
+    every base-4 tile with digits in [0, 20], stage by stage.
+    """
+    if m_max < 1:
+        raise ValueError(f"m_max must be >= 1, got {m_max}")
+    for m in range(1, m_max + 1):
+        level = expand(d, m)
+        if level.collisions:
+            return None
+        dec = skew_decompose(level.values, d.base**m, 1)
+        if dec is not None:
+            return level, dec
+    return None
 
 
 def verify_decomposition(dec: SkewDecomposition, values: Iterable[int]) -> bool:

@@ -16,7 +16,6 @@ counting identity #(L1 + L2) == modulus with a complete residue system.
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -146,23 +145,19 @@ def build_spectral_data(dec: SkewDecomposition) -> AnLaiReport:
         raise SpectralConditionError(
             f"blocks have differing supports {sorted(set(supports_b))}", part_flags
         )
-    supp_a = supports[dec.A]
-    supp_b = supports_b[0]
+    supp_a, supp_b = supports[dec.A], supports[dec.Bs[0]]
     l1 = supp_a.spectrum().scaled(n)
-    l2 = supports[dec.Bs[0]].spectrum().scaled(n)
-    joint = tuple(
-        is_hadamard(n, [x + u for x in dec.A for u in b], _sumset(l1, l2))
-        for b in dec.Bs
-    )
+    l2 = supp_b.spectrum().scaled(n)
     sums = _sumset(l1, l2)
+    joint = tuple(is_hadamard(n, [x + u for x in dec.A for u in b], sums) for b in dec.Bs)
     counting = len(sums) == n and residues_mod(sums, n) == tuple(range(n))
     return AnLaiReport(
         modulus=n,
         decomposition=dec,
         support_a=supp_a.entries,
-        support_b=supp_b,
+        support_b=supp_b.entries,
         lcm_a=supp_a.lcm,
-        lcm_b=math.lcm(*supp_b) if supp_b else 1,
+        lcm_b=supp_b.lcm,
         l1=l1,
         l2=l2,
         hadamard_a=is_hadamard(n, dec.A, l1),

@@ -20,6 +20,7 @@ from fractions import Fraction
 
 from .core import (
     DigitSet,
+    ExpandedDigits,
     ExpansionLimitError,
     PeriodicSet,
     expand,
@@ -99,9 +100,6 @@ class CarryAutomaton:
                         rev[nxt].append((x, y, c))
         self._fwd = fwd
         self._rev = rev
-
-    def edges_from(self, c: int) -> list[tuple[int, int, int]]:
-        return self._fwd[c]
 
     def find_collision(self) -> TileWitness | None:
         """Shortest closed walk 0 -> 0 through a nontrivial edge, if any."""
@@ -224,13 +222,8 @@ def stabilization_exponent(d: DigitSet, m_max: int = 12) -> int | None:
     """
     if m_max < 1:
         raise ValueError(f"m_max must be >= 1, got {m_max}")
-    current = _chain_step(d, PeriodicSet.integers())
-    for m in range(1, m_max + 1):
-        nxt = _chain_step(d, current)
-        if nxt == current:
-            return m
-        current = nxt
-    return None
+    j = replicating_chain(d, m_max + 1).entries
+    return next((m for m in range(1, m_max + 1) if j[m + 1] == j[m]), None)
 
 
 def self_replicating_tiling(d: DigitSet, m: int) -> PeriodicSet:
@@ -239,10 +232,16 @@ def self_replicating_tiling(d: DigitSet, m: int) -> PeriodicSet:
     Requires m to be a stabilization exponent; the result is re-verified
     and a non-stabilizing m is rejected.
     """
-    ed = expand(d, m)
-    j = PeriodicSet.from_values(ed.values, d.base**m).reduce()
+    return _tiling_set(d, expand(d, m))
+
+
+def _tiling_set(d: DigitSet, level: ExpandedDigits) -> PeriodicSet:
+    """``level.values + b**level * Z`` reduced, verified self-replicating."""
+    j = PeriodicSet.from_values(level.values, d.base**level.level).reduce()
     if not verify_self_replicating(j, d):
-        raise ValueError(f"m={m} is not a stabilization exponent for {list(d.digits)}")
+        raise ValueError(
+            f"m={level.level} is not a stabilization exponent for {list(d.digits)}"
+        )
     return j
 
 

@@ -1,13 +1,14 @@
 """Command-line surface: reports, exit codes, search, render."""
 
 import json
+import re
 import subprocess
 import sys
 import time
 
 import pytest
 
-from tilescope.cli import enumerate_normalized, main, run_search
+from tilescope.cli import build_parser, enumerate_normalized, main, run_search
 from tilescope.report import analyze_digit_set, report_to_json
 
 TWELVE = "0,1,4,8,9,17,25,33,41,72,76,80"
@@ -93,6 +94,14 @@ class TestAnalyze:
         assert time.perf_counter() - start < 2
         assert code == 2 and out == ""
         assert err.startswith("error: carry automaton needs") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "flag, value, name", [("--mmax", "0", "m_max"), ("--kmax", "0", "k_max")]
+    )
+    def test_stage_and_level_bounds_checked_on_non_tiles(self, capsys, flag, value, name):
+        code, out, err = run_cli(capsys, "analyze", "-b", "4", "-d", "0,1,2,5", flag, value)
+        assert code == 2 and out == ""
+        assert err == f"error: {name} must be >= 1, got {value}\n"
 
     def test_strict_t2_can_block_spectra(self, capsys):
         # support {2, 4} of the standard set fails the literal reading
@@ -195,6 +204,15 @@ class TestSearch:
         assert code == 2 and out == ""
         assert err == "error: m_max must be >= 1, got 0\n"
 
+    def test_stage_matches_analyze(self):
+        records, summary = run_search(4, 12, 6, workers=1)
+        tiles = [r for r in records if r["status"] == "tile"]
+        assert len(tiles) == summary["tiles"] > 0
+        for record in tiles:
+            report, code = analyze_digit_set(4, record["digits"])
+            assert code == 0
+            assert report["stabilization"]["m"] == record["m"], record["digits"]
+
 
 class TestRender:
     def test_svg_file(self, capsys, tmp_path):
@@ -247,6 +265,49 @@ class TestRender:
         code, out, err = run_cli(capsys, "render", "-b", "3", "-d", "0,1,2", "-k", level)
         assert code == 2 and out == ""
         assert err == f"error: level must be >= 1, got {level}\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--width", "-5"),
+            ("--width", "0"),
+            ("--width", "80"),
+            ("--height", "-5"),
+            ("--height", "0"),
+            ("--height", "100", "-k", "10"),
+            ("--height", "120", "-k", "10"),
+            ("--format", "json", "--width", "-5"),
+        ],
+    )
+    def test_size_must_leave_room_for_the_bands(self, capsys, argv):
+        code, out, err = run_cli(capsys, "render", "-b", "4", "-d", "0,1,8,9", *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: width must be > 80 and height > ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("k", [1, 4, 10])
+    def test_smallest_accepted_size(self, capsys, k):
+        height = 80 + 4 * k + 1
+        code, out, err = run_cli(
+            capsys, "render", "-b", "4", "-d", "0,1,8,9", "-k", str(k),
+            "--width", "81", "--height", str(height),
+        )
+        assert code == 0 and err == ""
+        assert f'viewBox="0 0 81 {height}"' in out
+        heights = re.findall(r'<rect x="[^"]*" y="[^"]*" width="[^"]*" height="([^"]*)"', out)
+        assert len(heights) > k and all(float(h) > 0 for h in heights)
+
+
+class TestParser:
+    def test_built_once_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_import_builds_nothing(self):
+        code = "import tilescope.cli as c; print(c.build_parser.cache_info().currsize)"
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        assert done.stdout == "0\n"
 
 
 class TestInstalledEntryPoint:

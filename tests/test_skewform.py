@@ -1,5 +1,7 @@
 """Detection, verification, lifting, and generation of decompositions."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,8 +15,11 @@ from tilescope import (
     gen_product_form,
     gen_weak_product_form,
     is_tile,
+    least_stage,
     lift_stage,
+    normalize,
     skew_decompose,
+    stabilization_exponent,
     verify_decomposition,
 )
 
@@ -214,3 +219,92 @@ class TestTilePropertyOfDecomposables:
         dec = skew_decompose(values, 16, 1)
         assert sorted(dec.digit_values()) == values
         assert all(direct_sum_complete(dec.A, b, 16) for b in dec.Bs)
+
+
+def _factorizations(n: int, parts: int) -> list[tuple[int, ...]]:
+    """Ordered factorizations of n into ``parts`` factors, each >= 1."""
+    if parts == 1:
+        return [(n,)]
+    return [
+        (f,) + rest
+        for f in range(1, n + 1)
+        if n % f == 0
+        for rest in _factorizations(n // f, parts - 1)
+    ]
+
+
+@st.composite
+def staged_tiles(draw) -> DigitSet:
+    """Normalized product-form or weak-product-form tiles, bases 2-12.
+
+    The factor sets are the digit blocks {0, 1, .., n_0 - 1},
+    n_0 * {0, .., n_1 - 1}, ... of a complete residue system, each
+    element moved by its own multiple of the base and the whole set
+    multiplied by a unit mod the base.
+    """
+    base = draw(st.integers(2, 12))
+    stages = draw(st.integers(1, 3))
+    weak = draw(st.booleans())
+    splits = _factorizations(base, 2 if weak else stages)
+    sizes = draw(st.sampled_from([f for f in splits if 1 not in f] or splits))
+    unit = draw(st.sampled_from([u for u in range(1, base) if math.gcd(u, base) == 1]))
+    shift = st.integers(-1, 2)
+    factors, step = [], 1
+    for size in sizes:
+        factors.append([unit * step * j + base * draw(shift) for j in range(size)])
+        step *= size
+    if weak:
+        a, b = factors
+        offsets = draw(
+            st.dictionaries(st.tuples(st.sampled_from(a), st.sampled_from(b)), shift)
+        )
+        d = gen_weak_product_form(a, b, stages, offsets)
+    else:
+        d = gen_product_form(factors, base)
+    return normalize(d.digits, base)[0]
+
+
+class TestLeastStage:
+    def test_product_form(self):
+        level, dec = least_stage(DigitSet(4, (0, 1, 8, 9)), 6)
+        assert level.level == 1 and level.values == (0, 1, 8, 9)
+        assert dec == skew_decompose((0, 1, 8, 9), 4, 1)
+
+    def test_two_stage(self):
+        d = DigitSet(4, (0, 1, 32, 33))
+        level, dec = least_stage(d, 6)
+        assert level == expand(d, 2)
+        assert dec.base == 16 and dec.stage == 1
+        assert verify_decomposition(dec, level.values)
+        assert least_stage(d, 1) is None
+
+    def test_non_tile_stops_at_the_collision(self):
+        assert least_stage(DigitSet(4, (0, 1, 2, 5)), 12) is None
+
+    @pytest.mark.parametrize("m_max", [0, -2])
+    def test_stage_bound_checked(self, m_max):
+        with pytest.raises(ValueError, match=f"m_max must be >= 1, got {m_max}"):
+            least_stage(DigitSet(2, (0, 1)), m_max)
+
+    @settings(max_examples=150, deadline=None)
+    @given(staged_tiles())
+    def test_matches_the_chain_on_tiles(self, d):
+        found = least_stage(d, 6)
+        assert found is not None
+        assert found[0].level == stabilization_exponent(d, 6)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(2, 6).flatmap(
+            lambda b: st.lists(
+                st.integers(0, 40), min_size=b, max_size=b, unique=True
+            ).map(lambda ds: DigitSet(b, tuple(ds)))
+        )
+    )
+    def test_none_on_non_tiles(self, d):
+        tile, _ = is_tile(d)
+        found = least_stage(d, 4)
+        if tile:
+            assert found is None or found[0].level == stabilization_exponent(d, 4)
+        else:
+            assert found is None
