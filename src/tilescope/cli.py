@@ -28,7 +28,7 @@ from .report import (
     report_to_json,
 )
 from .skewform import least_stage
-from .tiling import is_tile
+from .tiling import collision_level
 
 MAX_SEARCH_SETS = 500_000
 
@@ -54,7 +54,8 @@ def enumerate_normalized(base: int, bound: int) -> list[tuple[int, ...]]:
 def _search_record(args: tuple[tuple[int, ...], int, int]) -> dict[str, Any]:
     digits, base, m_max = args
     d = DigitSet(base, digits)
-    tile, witness = is_tile(d)
+    witness_level = collision_level(d)
+    tile = witness_level is None
     found = least_stage(d, m_max)
     m_found = None if found is None else found[0].level
     if tile:
@@ -65,7 +66,7 @@ def _search_record(args: tuple[tuple[int, ...], int, int]) -> dict[str, Any]:
         "digits": list(digits),
         "tile": tile,
         "m": m_found,
-        "witness_level": None if witness is None else witness.level,
+        "witness_level": witness_level,
         "status": status,
         "violation": (not tile) and m_found is not None,
     }

@@ -5,7 +5,10 @@ collision free.  That infinite family of conditions reduces to a finite
 reachability question: track the running carry of a pair of digit strings
 with equal value.  Carries are bounded by ``span // (base - 1)``, so the
 walk space is a finite automaton and the decision is exact for all levels
-at once, with a two-string certificate when it fails.
+at once, with a two-string certificate when it fails.  The automaton is
+explored on demand from carry 0, so its cost tracks the carries reached,
+not the span; the eager search over every carry is kept as
+``collision_oracle``.
 
 The module also builds the decreasing chain of periodic sets obtained by
 iterating ``J -> b*J + D`` from Z, finds the exponent where it stabilizes,
@@ -31,8 +34,9 @@ from .core import (
 # Residue chains stay small for tiles, but guard against runaway growth on
 # adversarial inputs.
 MAX_CHAIN_RESIDUES = 1 << 22
-# Carry automata hold 2*bound + 1 states.  The cap admits base 3
-# {0, 1, 1000002}, 1000003 states, whose walk peaks near 1.3 GB of memory.
+# Carry automata span 2*bound + 1 states.  The cap admits base 3
+# {0, 1, 1000002}, 1000003 states; its search visits 86622 forward states
+# and the whole process peaks at 41 MB resident (CPython 3.11, x86-64).
 MAX_AUTOMATON_STATES = 1 << 21
 
 
@@ -68,91 +72,158 @@ class TileWitness:
 
 
 class CarryAutomaton:
-    """Finite-state walk space of carries for equal-value digit string pairs.
+    """Walk space of carries for equal-value digit string pairs, explored on demand.
 
-    States are carries c with |c| <= span // (base - 1).  An edge
-    (c, d, e) -> c' exists when c + d - e is divisible by the base, with
-    c' = (c + d - e) // base; it is nontrivial when d != e.  A collision
-    in some expansion level exists iff a closed walk 0 -> 0 uses at least
-    one nontrivial edge.
+    States are carries c with |c| <= span // (base - 1); ``states`` is that
+    range, and its length is what the cap bounds.  An edge (c, x, y) -> c'
+    exists when c + x - y is divisible by the base, with
+    c' = (c + x - y) // base; it is nontrivial when x != y.  A collision in
+    some expansion level exists iff a closed walk 0 -> 0 uses at least one
+    nontrivial edge.
+
+    No table is built: carry c takes its edges from the digit pairs with
+    x - y = -c (mod b), and only carries reached from 0 are visited.  A
+    standard digit set reaches carry 0 alone.
+
+    :meth:`find_collision` returns the witness of the eager search kept in
+    :func:`collision_oracle`, for these reasons.  The forward breadth-first
+    search over (carry, used-nontrivial) visits states in the eager order
+    and stops when (0, True) is discovered, at depth L; layers below L are
+    complete.  A walk (0, False) -> (c, True) followed by a walk c -> 0 is a
+    walk to (0, True), so ``dist_f(c, True) + dist_b(c) >= L``, with
+    equality at c = 0: L is the least total, the witness level, and the
+    eager tie-break picks the least c with ``dist_f(c, True) + dist_b(c) ==
+    L``.  Each such c lies in ``T = {c : fd(c) + dist_b(c) <= L}``, fd being
+    the forward depth of c under either flag.  T is closed under the
+    backward search's choices: if c is in T, every carry u that competes to
+    discover c (an edge c -> u with ``dist_b(u) == dist_b(c) - 1``) has
+    ``fd(u) <= fd(c) + 1`` and so is in T, and so is the chosen one.  Every
+    c in T other than 0 has ``dist_b(c) >= 1``, hence ``fd(c) <= L - 1``
+    (discovered before the stop) and ``dist_b(c) <= L - 1`` (as
+    ``fd(c) >= 1``).  By induction on the depth, a backward search from
+    0 entering only discovered carries and stopped at depth L - 1 reaches
+    each carry of T at its full distance, from the same successor through
+    the same digit pair, in the same relative order.  A carry outside T
+    totals more than L at any distance the restricted search gives it, so
+    it is never picked.
     """
 
     def __init__(self, d: DigitSet):
         self.base = d.base
         self.digits = d.digits
-        self.bound = d.span // (d.base - 1)
-        if 2 * self.bound + 1 > MAX_AUTOMATON_STATES:
-            raise ValueError(
-                f"carry automaton needs {2 * self.bound + 1} states, over the cap "
-                f"{MAX_AUTOMATON_STATES}"
-            )
-        self.states = tuple(range(-self.bound, self.bound + 1))
-        fwd: dict[int, list[tuple[int, int, int]]] = {c: [] for c in self.states}
-        rev: dict[int, list[tuple[int, int, int]]] = {c: [] for c in self.states}
-        for c in self.states:
-            for x in d.digits:
-                for y in d.digits:
-                    t = c + x - y
-                    if t % d.base == 0:
-                        nxt = t // d.base
-                        assert -self.bound <= nxt <= self.bound
-                        fwd[c].append((x, y, nxt))
-                        rev[nxt].append((x, y, c))
-        self._fwd = fwd
-        self._rev = rev
+        self.bound = _carry_bound(d)
+        self.states = range(-self.bound, self.bound + 1)
+        # The first pair (x, y) in digit order of each difference x - y; pairs
+        # with one difference lead to the same state, so only the first counts.
+        first: dict[int, tuple[int, int]] = {}
+        for x in d.digits:
+            for y in d.digits:
+                first.setdefault(x - y, (x, y))
+        self._first = first
+        # pairs[r]: those pairs with x - y = r (mod b), in digit order
+        self._pairs: list[list[tuple[int, int]]] = [[] for _ in range(d.base)]
+        for delta, pair in first.items():
+            self._pairs[delta % d.base].append(pair)
 
-    def find_collision(self) -> TileWitness | None:
-        """Shortest closed walk 0 -> 0 through a nontrivial edge, if any."""
-        # Forward: shortest paths over (carry, used-nontrivial-edge) pairs.
+    def _forward(self) -> tuple[int, dict, dict] | None:
+        """Breadth-first search from (0, False) until (0, True) is discovered.
+
+        Returns None when it never is (a tile), else ``(L, pred, depth)``:
+        L is the depth of (0, True), and ``pred``/``depth`` hold each
+        discovered (carry, used-nontrivial) state's first discovery and
+        depth.  Layers below L are complete.
+        """
+        base, pairs = self.base, self._pairs
         start = (0, False)
         pred: dict[tuple[int, bool], tuple[tuple[int, bool], int, int] | None]
         pred = {start: None}
-        dist_f = {start: 0}
-        queue = deque([start])
-        while queue:
-            c, flag = queue.popleft()
-            for x, y, nxt in self._fwd[c]:
-                state = (nxt, flag or x != y)
-                if state not in pred:
-                    pred[state] = ((c, flag), x, y)
-                    dist_f[state] = dist_f[(c, flag)] + 1
-                    queue.append(state)
-        # Backward: shortest continuation from each carry to 0 along any edges.
+        depth = {start: 0}
+        layer = [start]
+        level = 0
+        while layer:
+            level += 1
+            next_layer = []
+            for state in layer:
+                c, used = state
+                for x, y in pairs[-c % base]:
+                    new = ((c + x - y) // base, used or x != y)
+                    if new not in pred:
+                        pred[new] = (state, x, y)
+                        depth[new] = level
+                        if new == (0, True):
+                            return level, pred, depth
+                        next_layer.append(new)
+            layer = next_layer
+        return None
+
+    def _backward(
+        self, level: int, carries: set[int]
+    ) -> tuple[dict[int, int], dict[int, tuple[int, int, int]]]:
+        """Breadth-first search from carry 0 along reversed edges, to depth
+        ``level - 1``, entering only ``carries``.
+
+        The predecessors of c are p = b*c - x + y, taken in order of p and
+        then digit order, as in the eager reverse table.  Forward-discovered
+        carries lie within the bound, so ``carries`` also enforces it.
+        """
+        # p = b*c - (x - y) increases as x - y decreases
+        steps = [(delta, x, y) for delta, (x, y) in sorted(self._first.items())[::-1]]
         dist_b = {0: 0}
         step_b: dict[int, tuple[int, int, int]] = {}
-        bqueue = deque([0])
-        while bqueue:
-            c = bqueue.popleft()
-            for x, y, prev in self._rev[c]:
-                if prev not in dist_b:
-                    dist_b[prev] = dist_b[c] + 1
-                    step_b[prev] = (x, y, c)
-                    bqueue.append(prev)
-        best: int | None = None
-        best_len = 0
-        for c in self.states:
-            if (c, True) in dist_f and c in dist_b:
-                total = dist_f[(c, True)] + dist_b[c]
-                if best is None or total < best_len or (total == best_len and c < best):
-                    best, best_len = c, total
-        if best is None:
+        layer = [0]
+        for k in range(1, level):
+            next_layer = []
+            for c in layer:
+                bc = self.base * c
+                for delta, x, y in steps:
+                    p = bc - delta
+                    if p in carries and p not in dist_b:
+                        dist_b[p] = k
+                        step_b[p] = (x, y, c)
+                        next_layer.append(p)
+            layer = next_layer
+        return dist_b, step_b
+
+    def find_collision(self) -> TileWitness | None:
+        """Shortest closed walk 0 -> 0 through a nontrivial edge, if any."""
+        found = self._forward()
+        if found is None:
             return None
-        left: list[int] = []
-        right: list[int] = []
-        state = (best, True)
-        while pred[state] is not None:
-            prev_state, x, y = pred[state]  # type: ignore[misc]
-            left.append(x)
-            right.append(y)
-            state = prev_state
-        left.reverse()
-        right.reverse()
-        c = best
-        while c != 0:
-            x, y, c = step_b[c]
-            left.append(x)
-            right.append(y)
-        return TileWitness(self.base, tuple(left), tuple(right))
+        level, pred, depth = found
+        dist_b, step_b = self._backward(level, {c for c, _ in pred})
+        best = min(c for c, k in dist_b.items() if depth.get((c, True)) == level - k)
+        return _witness(self.base, best, pred, step_b)
+
+
+def _carry_bound(d: DigitSet) -> int:
+    """The largest carry magnitude, checked against the state cap."""
+    bound = d.span // (d.base - 1)
+    if 2 * bound + 1 > MAX_AUTOMATON_STATES:
+        raise ValueError(
+            f"carry automaton needs {2 * bound + 1} states, over the cap "
+            f"{MAX_AUTOMATON_STATES}"
+        )
+    return bound
+
+
+def _witness(base: int, best: int, pred: dict, step_b: dict) -> TileWitness:
+    """The forward path to (best, True), then the backward steps to 0."""
+    left: list[int] = []
+    right: list[int] = []
+    state = (best, True)
+    while pred[state] is not None:
+        prev_state, x, y = pred[state]
+        left.append(x)
+        right.append(y)
+        state = prev_state
+    left.reverse()
+    right.reverse()
+    c = best
+    while c != 0:
+        x, y, c = step_b[c]
+        left.append(x)
+        right.append(y)
+    return TileWitness(base, tuple(left), tuple(right))
 
 
 def is_tile(d: DigitSet) -> tuple[bool, TileWitness | None]:
@@ -165,6 +236,72 @@ def is_tile(d: DigitSet) -> tuple[bool, TileWitness | None]:
     """
     witness = CarryAutomaton(d).find_collision()
     return witness is None, witness
+
+
+def collision_level(d: DigitSet) -> int | None:
+    """The first colliding expansion level, or None for a tile.
+
+    The level of :func:`is_tile`'s witness, from the forward search alone.
+    """
+    found = CarryAutomaton(d)._forward()
+    return None if found is None else found[0]
+
+
+def collision_oracle(d: DigitSet) -> TileWitness | None:
+    """Reference for :meth:`CarryAutomaton.find_collision`.
+
+    Builds the forward and reverse edge tables of every carry, runs both
+    searches to completion, and picks the carry of least total length,
+    then least value.  Its cost tracks the span, not the reachable carries.
+    """
+    bound = _carry_bound(d)
+    states = range(-bound, bound + 1)
+    fwd: dict[int, list[tuple[int, int, int]]] = {c: [] for c in states}
+    rev: dict[int, list[tuple[int, int, int]]] = {c: [] for c in states}
+    for c in states:
+        for x in d.digits:
+            for y in d.digits:
+                t = c + x - y
+                if t % d.base == 0:
+                    nxt = t // d.base
+                    assert -bound <= nxt <= bound
+                    fwd[c].append((x, y, nxt))
+                    rev[nxt].append((x, y, c))
+    # Forward: shortest paths over (carry, used-nontrivial-edge) pairs.
+    start = (0, False)
+    pred: dict[tuple[int, bool], tuple[tuple[int, bool], int, int] | None]
+    pred = {start: None}
+    dist_f = {start: 0}
+    queue = deque([start])
+    while queue:
+        c, flag = queue.popleft()
+        for x, y, nxt in fwd[c]:
+            state = (nxt, flag or x != y)
+            if state not in pred:
+                pred[state] = ((c, flag), x, y)
+                dist_f[state] = dist_f[(c, flag)] + 1
+                queue.append(state)
+    # Backward: shortest continuation from each carry to 0 along any edges.
+    dist_b = {0: 0}
+    step_b: dict[int, tuple[int, int, int]] = {}
+    bqueue = deque([0])
+    while bqueue:
+        c = bqueue.popleft()
+        for x, y, prev in rev[c]:
+            if prev not in dist_b:
+                dist_b[prev] = dist_b[c] + 1
+                step_b[prev] = (x, y, c)
+                bqueue.append(prev)
+    best: int | None = None
+    best_len = 0
+    for c in states:
+        if (c, True) in dist_f and c in dist_b:
+            total = dist_f[(c, True)] + dist_b[c]
+            if best is None or total < best_len or (total == best_len and c < best):
+                best, best_len = c, total
+    if best is None:
+        return None
+    return _witness(d.base, best, pred, step_b)
 
 
 def is_tile_oracle(d: DigitSet, k_max: int) -> bool:

@@ -9,8 +9,11 @@ from hypothesis import strategies as st
 
 from conftest import brute_expand
 from tilescope import (
+    CarryAutomaton,
     DigitSet,
     PeriodicSet,
+    collision_level,
+    collision_oracle,
     is_tile,
     is_tile_oracle,
     replicating_chain,
@@ -73,6 +76,94 @@ class TestIsTile:
             assert is_tile_oracle(d, 5)
         else:
             assert not is_tile_oracle(d, witness.level)
+
+
+def signed_digit_sets(max_base=12, reach=40):
+    """Digit sets with negative, translated and non-normalized digits."""
+    return st.integers(2, max_base).flatmap(
+        lambda b: st.tuples(
+            st.lists(st.integers(-reach, reach), min_size=b, max_size=b, unique=True),
+            st.integers(-50, 50),
+            st.integers(1, 3),
+        ).map(lambda t: DigitSet(b, tuple(t[1] + t[2] * x for x in t[0])))
+    )
+
+
+def full_backward(d: DigitSet) -> tuple[dict, dict]:
+    """Backward search from carry 0 over every carry, from the edge definition.
+
+    The predecessors of c are the carries p = b*c - x + y within the bound,
+    taken in order of p, then x, then y.
+    """
+    bound = d.span // (d.base - 1)
+    dist, step, layer, k = {0: 0}, {}, [0], 0
+    while layer:
+        k += 1
+        next_layer = []
+        for c in layer:
+            preds = sorted(
+                (d.base * c - x + y, x, y) for x in d.digits for y in d.digits
+            )
+            for p, x, y in preds:
+                if abs(p) <= bound and p not in dist:
+                    dist[p], step[p] = k, (x, y, c)
+                    next_layer.append(p)
+        layer = next_layer
+    return dist, step
+
+
+class TestOnDemandAutomaton:
+    def check_against_oracle(self, d):
+        w = collision_oracle(d)
+        assert is_tile(d) == (w is None, w)
+        assert collision_level(d) == (None if w is None else w.level)
+
+    @settings(max_examples=300, deadline=None)
+    @given(signed_digit_sets())
+    def test_witness_matches_oracle(self, d):
+        self.check_against_oracle(d)
+
+    @pytest.mark.parametrize("base, bound", [(3, 30), (4, 14)])
+    def test_exhaustive_witness_matches_oracle(self, base, bound):
+        for digits in enumerate_normalized(base, bound):
+            self.check_against_oracle(DigitSet(base, digits))
+
+    @settings(max_examples=200, deadline=None)
+    @given(signed_digit_sets(max_base=7, reach=25))
+    def test_restricted_backward_search(self, d):
+        # Carries with fd + dist_b <= L, fd the forward depth under either
+        # flag, hold every witness candidate and its competitors; there the
+        # restricted backward search must agree with the full one.
+        automaton = CarryAutomaton(d)
+        found = automaton._forward()
+        if found is None:
+            return
+        level, pred, depth = found
+        dist, step = automaton._backward(level, {c for c, _ in pred})
+        full_dist, full_step = full_backward(d)
+        fd: dict[int, int] = {}
+        for (c, _), k in depth.items():
+            fd[c] = min(fd.get(c, k), k)
+        assert max(dist.values()) <= level - 1
+        for c in fd:
+            if c in full_dist and fd[c] + full_dist[c] <= level:
+                assert dist[c] == full_dist[c], c
+                assert step.get(c) == full_step.get(c), c
+        for c, k in dist.items():
+            assert k >= full_dist[c]
+
+    def test_wide_three_digit_set(self):
+        d = DigitSet(3, (0, 1, 1_000_002))
+        assert len(CarryAutomaton(d).states) == 1_000_003
+        tile, witness = is_tile(d)
+        assert not tile and witness.is_valid_for(d)
+        assert witness.level == collision_level(d) == 14
+
+    def test_cap_checked_by_every_entry(self):
+        d = DigitSet(3, (0, 1, 1 << 22))
+        for fn in (is_tile, collision_level, collision_oracle):
+            with pytest.raises(ValueError, match="carry automaton needs"):
+                fn(d)
 
 
 class TestIsTileOracle:
