@@ -5,10 +5,9 @@ bands settle into a fixed union while a non-tile's bands thin out.
 Output lands next to this script in demos/output/.
 """
 
-import json
 import pathlib
 
-from tilescope import DigitSet, covers, intervals_json, tower_svg
+from tilescope import DigitSet, covers, intervals_json_text, tower_svg
 
 print(__doc__)
 
@@ -25,7 +24,7 @@ for name, base, digits, levels in [
     svg_path = out_dir / f"{name}.svg"
     svg_path.write_text(tower_svg(d, unions, width=900, height=300))
     json_path = out_dir / f"{name}.json"
-    json_path.write_text(json.dumps(intervals_json(d, unions), indent=2) + "\n")
+    json_path.write_text(intervals_json_text(d, unions))
     lengths = [str(u.total_length) for u in unions]
     print(f"{name}: digits {digits}")
     print(f"  cover lengths {lengths}")

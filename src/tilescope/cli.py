@@ -1,10 +1,11 @@
 """Command-line surface: analyze, search, render.
 
 Exit codes: 0 for a completed analysis (tile or not), 2 for parse or
-validation errors, 3 when no level up to --mmax is in skew product form
-(inconclusive).  ``search`` emits one JSON line per digit set followed by a
-summary line; the worker count comes from --workers, overridden by the
-``TILESCOPE_WORKERS`` environment variable.
+validation errors and for an --out path that cannot be opened, 3 when no
+level up to --mmax is in skew product form (inconclusive).  ``search``
+emits one JSON line per digit set followed by a summary line; the worker
+count comes from --workers, overridden by the ``TILESCOPE_WORKERS``
+environment variable.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from itertools import combinations
 from typing import Any, TextIO
 
 from .core import DigitSet
-from .geometry import covers, intervals_json, tower_svg
+from .geometry import covers, intervals_json_text, tower_svg
 from .report import (
     EXIT_OK,
     EXIT_USAGE,
@@ -80,6 +81,8 @@ def run_search(
     max_base: int = 12,
     max_bound: int = 64,
 ) -> tuple[list[dict[str, Any]], dict[str, Any]]:
+    if base < 2:
+        raise ValueError(f"base must be >= 2, got {base}")
     if base > max_base:
         raise ValueError(f"search base {base} exceeds the default cap {max_base}")
     if bound > max_bound:
@@ -132,9 +135,10 @@ def _cmd_analyze(args: argparse.Namespace, out: TextIO) -> int:
 
 def _cmd_search(args: argparse.Namespace, out: TextIO) -> int:
     workers = int(os.environ.get("TILESCOPE_WORKERS", args.workers))
-    records, summary = run_search(args.base, args.bound, args.mmax, workers)
+    # opened before the corpus runs, so a path that cannot be opened costs no work
     sink = open(args.out, "w") if args.out else out
     try:
+        records, summary = run_search(args.base, args.bound, args.mmax, workers)
         if args.json:
             for record in records:
                 sink.write(json.dumps(record) + "\n")
@@ -168,7 +172,7 @@ def _cmd_render(args: argparse.Namespace, out: TextIO) -> int:
     if args.format == "svg":
         payload = tower_svg(d, unions, width=args.width, height=args.height)
     else:
-        payload = json.dumps(intervals_json(d, unions), indent=2) + "\n"
+        payload = intervals_json_text(d, unions)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(payload)
@@ -231,7 +235,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args, sys.stdout)
-    except ValueError as err:
+    except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
 

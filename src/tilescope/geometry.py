@@ -13,6 +13,14 @@ Endpoints are integer numerators over the common denominator
 ``d * b**(k-1) * (b - 1)``.  The approximations are nested, their total
 lengths are non-increasing, and for a tile they never undershoot the
 exact measure ``1 / density`` of a verified tiling set.
+
+Both writers work from those integer bounds.  ``intervals_json_text``
+fills one text template per interval, with each endpoint reduced by one
+``gcd``, and gives the bytes of ``json.dumps(intervals_json(...),
+indent=2)``; the dict view ``intervals_json`` is its test oracle.
+``tower_svg`` fills one rectangle template per band, with coordinates
+from one correctly rounded ``int / int`` division per endpoint, the only
+floats in this module.
 """
 
 from __future__ import annotations
@@ -157,7 +165,10 @@ def _reduced(n: int, den: int) -> tuple[int, int]:
 
 
 def intervals_json(d: DigitSet, unions: list[IntervalUnion]) -> dict:
-    """JSON-ready structure: per level, intervals as [lo_num, lo_den, hi_num, hi_den]."""
+    """JSON-ready structure: per level, intervals as [lo_num, lo_den, hi_num, hi_den].
+
+    The dict view of :func:`intervals_json_text`, and its test oracle.
+    """
     return {
         "base": d.base,
         "digits": list(d.digits),
@@ -178,6 +189,48 @@ def intervals_json(d: DigitSet, unions: list[IntervalUnion]) -> dict:
     }
 
 
+# The layout of json.dumps(intervals_json(...), indent=2), one template per
+# nesting depth; an empty list is written "[]" there as well.
+_JSON_INTERVAL = (
+    "        [\n          %d,\n          %d,\n          %d,\n          %d\n        ]"
+)
+_JSON_LEVEL = (
+    '    {\n      "k": %d,\n      "intervals": %s,\n'
+    '      "total_length": [\n        %d,\n        %d\n      ]\n    }'
+)
+
+
+def _json_list(items: list[str], indent: str) -> str:
+    return "[\n" + ",\n".join(items) + "\n" + indent + "]" if items else "[]"
+
+
+def intervals_json_text(d: DigitSet, unions: list[IntervalUnion]) -> str:
+    """``json.dumps(intervals_json(d, unions), indent=2) + "\\n"``, written directly.
+
+    Each endpoint is reduced by one ``gcd`` and formatted into a template,
+    so neither the dict view nor the pure-Python indented encoder runs.
+    """
+    levels = []
+    for u in unions:
+        den = u.denominator
+        intervals = [
+            _JSON_INTERVAL
+            % (lo // (g := gcd(lo, den)), den // g, hi // (h := gcd(hi, den)), den // h)
+            for lo, hi in u.bounds
+        ]
+        length = u.total_length
+        levels.append(
+            _JSON_LEVEL
+            % (u.level, _json_list(intervals, "      "), length.numerator, length.denominator)
+        )
+    digits = _json_list(["    %d" % x for x in d.digits], "  ")
+    return '{\n  "base": %d,\n  "digits": %s,\n  "levels": %s\n}\n' % (
+        d.base,
+        digits,
+        _json_list(levels, "  "),
+    )
+
+
 def tower_svg(
     d: DigitSet, unions: list[IntervalUnion], width: int = 800, height: int = 400
 ) -> str:
@@ -189,6 +242,7 @@ def tower_svg(
     margin = 40
     plot_w = width - 2 * margin
     band_h = (height - 2 * margin) / max(len(unions), 1)
+    bm1 = d.base - 1
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -197,25 +251,22 @@ def tower_svg(
         f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
     ]
     for row, u in enumerate(unions):
-        # (n / den - min/(b-1)) / (span/(b-1)) as one exact int/int division,
-        # which rounds correctly, like float(Fraction).
+        # x = margin + (n / den - min/(b-1)) / (span/(b-1)) * plot_w, with one
+        # exact int/int division, which rounds correctly like float(Fraction).
         origin = d.digits[0] * u.denominator
         scale = d.span * u.denominator
-
-        def x_of(n: int) -> float:
-            return margin + (n * (d.base - 1) - origin) / scale * plot_w
-
         y = margin + row * band_h
         parts.append(
             f'<text x="{margin - 32:.2f}" y="{y + band_h / 2:.2f}" '
             f'font-size="12" dominant-baseline="middle">k={u.level}</text>'
         )
-        for ilo, ihi in u.bounds:
-            x = x_of(ilo)
-            w = max(x_of(ihi) - x, 0.5)
-            parts.append(
-                f'<rect x="{x:.2f}" y="{y + 2:.2f}" width="{w:.2f}" '
-                f'height="{band_h - 4:.2f}" fill="#4878a8"/>'
-            )
+        rect = '<rect x="%%.2f" y="%.2f" width="%%.2f" height="%.2f" fill="#4878a8"/>' % (
+            y + 2,
+            band_h - 4,
+        )
+        for lo, hi in u.bounds:
+            x = margin + (lo * bm1 - origin) / scale * plot_w
+            w = margin + (hi * bm1 - origin) / scale * plot_w - x
+            parts.append(rect % (x, max(w, 0.5)))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+from tilescope import cli
 from tilescope.cli import build_parser, enumerate_normalized, main, run_search
 from tilescope.report import analyze_digit_set, report_to_json
 
@@ -204,6 +205,23 @@ class TestSearch:
         assert code == 2 and out == ""
         assert err == "error: m_max must be >= 1, got 0\n"
 
+    @pytest.mark.parametrize("base", ["1", "0", "-2"])
+    def test_base_below_two(self, capsys, base):
+        code, out, err = run_cli(capsys, "search", "-b", base, "--bound", "3")
+        assert code == 2 and out == ""
+        assert err == f"error: base must be >= 2, got {base}\n"
+
+    def test_out_path_that_cannot_be_opened(self, capsys, monkeypatch, tmp_path):
+        def no_work(*args):
+            raise AssertionError("the corpus ran before --out was opened")
+
+        monkeypatch.setattr(cli, "run_search", no_work)
+        path = tmp_path / "missing" / "records.jsonl"
+        code, out, err = run_cli(capsys, "search", "-b", "3", "--bound", "5", "--out", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and str(path) in err
+        assert err.count("\n") == 1
+
     def test_stage_matches_analyze(self):
         records, summary = run_search(4, 12, 6, workers=1)
         tiles = [r for r in records if r["status"] == "tile"]
@@ -258,6 +276,16 @@ class TestRender:
         assert time.perf_counter() - start < 2
         assert code == 2 and out == ""
         assert err.startswith("error: level 40 too large for base 3")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("fmt", ["svg", "json"])
+    def test_out_path_that_cannot_be_opened(self, capsys, tmp_path, fmt):
+        path = tmp_path / "missing" / f"tower.{fmt}"
+        code, out, err = run_cli(
+            capsys, "render", "-b", "3", "-d", "0,1,2", "--format", fmt, "--out", str(path)
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and str(path) in err
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize("level", ["0", "-3"])

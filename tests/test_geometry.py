@@ -13,12 +13,14 @@ from hypothesis import strategies as st
 from tilescope import (
     DigitSet,
     ExpansionLimitError,
+    IntervalUnion,
     PeriodicSet,
     approx,
     approx_oracle,
     covers,
     hull,
     intervals_json,
+    intervals_json_text,
     measure_report,
     tower_svg,
 )
@@ -174,3 +176,68 @@ class TestGoldenTowers:
         payload = json.dumps(intervals_json(d, unions), indent=2) + "\n"
         assert svg.encode() == (self.OUTPUT / f"{name}.svg").read_bytes()
         assert payload.encode() == (self.OUTPUT / f"{name}.json").read_bytes()
+
+
+def _with_level(d, top):
+    # a level in 1..top with at most 2**14 hull copies, so the oracles stay quick:
+    # base 12 reaches level 3, base 5 level 6
+    cap = 1
+    while cap < top and d.base ** (cap + 1) <= 1 << 14:
+        cap += 1
+    return st.tuples(st.just(d), st.integers(1, cap))
+
+
+def _dumped(d, unions):
+    return json.dumps(intervals_json(d, unions), indent=2) + "\n"
+
+
+class TestJsonText:
+    @settings(max_examples=120)
+    @given(
+        digit_sets(max_base=12, max_digit=59, min_digit=-30).flatmap(lambda d: _with_level(d, 6))
+    )
+    def test_matches_indented_dumps(self, case):
+        d, k = case
+        unions = covers(d, k)
+        assert intervals_json_text(d, unions) == _dumped(d, unions)
+
+    def test_empty_lists(self):
+        d = DigitSet(2, (0, 1))
+        for unions in ([], [IntervalUnion(1, 2, ())]):
+            assert intervals_json_text(d, unions) == _dumped(d, unions)
+
+    @pytest.mark.parametrize("name", ["product_form", "non_tile", "two_stage"])
+    def test_reproduces_demo_output(self, name):
+        expected = (TestGoldenTowers.OUTPUT / f"{name}.json").read_bytes()
+        tower = json.loads(expected)
+        d = DigitSet(tower["base"], tuple(tower["digits"]))
+        assert intervals_json_text(d, covers(d, len(tower["levels"]))).encode() == expected
+
+
+class TestSvgRects:
+    @settings(max_examples=60)
+    @given(
+        digit_sets(max_base=6, max_digit=59, min_digit=-30).flatmap(lambda d: _with_level(d, 5)),
+        st.integers(81, 2000),
+        st.integers(1, 2000),
+    )
+    def test_rects_from_exact_arithmetic(self, case, width, extra_height):
+        d, k = case
+        height = 80 + 4 * k + extra_height
+        unions = covers(d, k)
+        h0, h1 = hull(d)
+        plot_w, band_h = width - 80, (height - 80) / k
+        expected = []
+        for row, u in enumerate(unions):
+            y, h = "%.2f" % (40 + row * band_h + 2), "%.2f" % (band_h - 4)
+            for lo, hi in u.intervals:
+                x = 40 + float((lo - h0) / (h1 - h0)) * plot_w
+                w = max(40 + float((hi - h0) / (h1 - h0)) * plot_w - x, 0.5)
+                expected.append(("%.2f" % x, y, "%.2f" % w, h))
+        root = ET.fromstring(tower_svg(d, unions, width=width, height=height))
+        rects = [
+            (el.get("x"), el.get("y"), el.get("width"), el.get("height"))
+            for el in root.iter("{http://www.w3.org/2000/svg}rect")
+        ]
+        assert rects[0] == ("0", "0", str(width), str(height))
+        assert rects[1:] == expected
