@@ -15,6 +15,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 from itertools import combinations
 from typing import Any, TextIO
@@ -50,6 +51,20 @@ def enumerate_normalized(base: int, bound: int) -> list[tuple[int, ...]]:
         if math.gcd(*rest) == 1:
             out.append((0,) + rest)
     return out
+
+
+def count_normalized(base: int, bound: int) -> int:
+    """``len(enumerate_normalized(base, bound))``, without enumerating.
+
+    Mobius inversion over the gcd g of the nonzero digits: the
+    (base-1)-subsets of the multiples of g in [1, bound] number
+    C(bound // g, base - 1).
+    """
+    mobius = [0, 1] + [0] * (bound - 1)
+    for g in range(1, bound + 1):
+        for m in range(2 * g, bound + 1, g):
+            mobius[m] -= mobius[g]
+    return sum(mobius[g] * math.comb(bound // g, base - 1) for g in range(1, bound + 1))
 
 
 def _search_record(args: tuple[tuple[int, ...], int, int]) -> dict[str, Any]:
@@ -89,12 +104,13 @@ def run_search(
         raise ValueError(f"search bound {bound} exceeds the default cap {max_bound}")
     if m_max < 1:
         raise ValueError(f"m_max must be >= 1, got {m_max}")
-    corpus = enumerate_normalized(base, bound)
-    if len(corpus) > MAX_SEARCH_SETS:
+    count = count_normalized(base, bound)
+    if count > MAX_SEARCH_SETS:
         raise ValueError(
-            f"{len(corpus)} digit sets exceed the search cap {MAX_SEARCH_SETS}; "
+            f"{count} digit sets exceed the search cap {MAX_SEARCH_SETS}; "
             f"lower the bound"
         )
+    corpus = enumerate_normalized(base, bound)
     jobs = [(digits, base, m_max) for digits in corpus]
     if workers > 1 and len(jobs) > 1:
         from concurrent.futures import ProcessPoolExecutor  # only pooled runs import it
@@ -231,8 +247,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_digit_lists(argv: list[str]) -> list[str]:
+    """Spell ``-d -7,0,3`` as ``-d=-7,0,3``.
+
+    argparse reads a token that starts with '-' and is not a single number
+    as an option.  No option starts with '-' and a digit, so the token can
+    only be the digit list.
+    """
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in ("-d", "--digits") and re.match(r"-\d", arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(
+        _attach_digit_lists(sys.argv[1:] if argv is None else argv)
+    )
     try:
         return args.func(args, sys.stdout)
     except (ValueError, OSError) as err:

@@ -6,10 +6,11 @@ polynomials divide it controls both tiling and spectral structure, so
 everything here is integer-exact and no decision uses floating point.
 
 Divisibility works on the mask reduced mod ``x**s - 1``, which Phi_s
-divides: the counts of A's residues mod s.  For a prime power s = p**k,
-Phi_s divides the mask exactly when those counts are equal along every
-coset of p**(k-1), an O(#A) test with no polynomial at all; any other s
-divides the length-s count vector by Phi_s.  The dense division of the
+divides: the counts of A's residues mod s.  One rule covers every order
+(de Bruijn; Lam-Leung): Phi_s divides the mask exactly when the counts
+vanish under the product over primes p | s of ``p - (sum of the shifts by
+t*s/p, t < p)``.  For a prime power that is one factor, which says the
+counts are equal along every coset of s/p.  The dense division of the
 whole mask is kept as the test oracle :func:`divides_oracle`.
 
 The prime-power support of A, computed once by :func:`support`, carries
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
-from typing import Iterable
+from typing import Iterable, Sequence
 
 
 @dataclass(frozen=True)
@@ -205,35 +206,39 @@ def mask_poly(a: Iterable[int]) -> IntPolynomial:
     return IntPolynomial.from_exponents(v - vals[0] for v in vals)
 
 
-def _equal_on_cosets(vals: list[int], s: int, p: int) -> bool:
-    """Whether Phi_s divides the mask, for s = p**k, by residue counts.
+def _divides(vals: Iterable[int], s: int, primes: Sequence[int]) -> bool:
+    """Whether Phi_s divides the mask; ``primes`` are the primes of s.
 
-    Phi_s(x) is the sum of x**(j*q) over j < p with q = s / p, so the
-    multiples of Phi_s below degree s have equal coefficients at r, r + q,
-    ..., r + (p-1)q.  Following each count to the next one along its coset
-    checks every coset that A meets; cosets it misses are all zeros.
+    At a d-th root of unity, d | s, the factor for p is p unless d divides
+    s/p, where it is 0, so the product keeps exactly the primitive s-th
+    roots.  A factor's shifts stay in a class mod s/p, so the last factor
+    gives zero exactly when the counts are constant along each class.
     """
     counts = Counter(v % s for v in vals)
-    q = s // p
-    return all(counts[(r + q) % s] == c for r, c in counts.items())
+    *earlier, last = primes
+    for p in earlier:
+        q = s // p
+        class_sums = Counter()
+        for r, c in counts.items():
+            class_sums[r % q] += c
+        counts = {
+            r: v
+            for r0, total in class_sums.items()
+            for r in range(r0, s, q)
+            if (v := p * counts.get(r, 0) - total)
+        }
+    q = s // last
+    return all(counts.get((r + q) % s, 0) == c for r, c in counts.items())
 
 
 def divides(s: int, a: Iterable[int]) -> bool:
     """Whether the s-th cyclotomic polynomial divides the mask of the set."""
     if s < 2:
         raise ValueError(f"s must be >= 2, got {s}")
-    vals = sorted(set(a))
+    vals = set(a)
     if not vals:
         raise ValueError("mask polynomial of an empty set")
-    p = prime_power_root(s)
-    if p is not None:
-        return _equal_on_cosets(vals, s, p)
-    low = vals[0]
-    counts = [0] * min(s, vals[-1] - low + 1)
-    for v in vals:
-        counts[(v - low) % s] += 1
-    _, rem = IntPolynomial(tuple(counts)).divmod_monic(cyclotomic_poly(s))
-    return rem.is_zero
+    return _divides(vals, s, _prime_divisors(s))
 
 
 def divides_oracle(s: int, a: Iterable[int]) -> bool:
@@ -345,7 +350,7 @@ def support(a: Iterable[int]) -> PrimePowerSupport:
     for p in _prime_divisors(len(vals)):
         s = p
         while s // p * (p - 1) <= span:
-            if _equal_on_cosets(vals, s, p):
+            if _divides(vals, s, (p,)):
                 found.append(s)
             s *= p
     return PrimePowerSupport(tuple(found), tuple(vals))

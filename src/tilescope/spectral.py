@@ -2,10 +2,11 @@
 
 ``(N, A, L)`` is a Hadamard triple when the root-of-unity matrix
 ``exp(2*pi*i*a*l/N) / sqrt(#A)`` indexed by A x L is unitary, i.e. #A ==
-#L and every distinct pair of columns is orthogonal.  Orthogonality of a
-pair is an exponential-sum vanishing, decided exactly through cyclotomic
-divisibility; the floating-point unitarity residual exists only as a
-cross-check, never as the decision procedure.
+#L and every distinct pair of columns is orthogonal.  Columns l and l' are
+orthogonal exactly when Phi_s divides the mask of A, for the order
+s = N / gcd(l' - l, N), so each distinct order is decided once, exactly;
+the floating-point unitarity residual exists only as a cross-check, never
+as the decision procedure.
 
 From a verified 1-stage decomposition this module assembles the two
 scaled spectra L1 (from the representatives) and L2 (from the blocks),
@@ -16,12 +17,13 @@ counting identity #(L1 + L2) == modulus with a complete residue system.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .core import residues_mod
-from .cyclotomic import RationalSpectrum, support, vanishes_at
+from .cyclotomic import RationalSpectrum, divides, support
 from .skewform import SkewDecomposition
 
 # Level cap for truncated spectra: the pair verification is quadratic in
@@ -42,17 +44,14 @@ class SpectralConditionError(ValueError):
 
 
 def is_hadamard(n: int, a: Iterable[int], ell: Iterable[int]) -> bool:
-    """Exact Hadamard-triple test for (n, A, L)."""
+    """Exact Hadamard-triple test for (n, A, L); L not distinct mod n fails."""
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     sa, sl = sorted(set(a)), sorted(set(ell))
     if len(sa) != len(sl):
         return False
-    for i, c in enumerate(sl):
-        for cc in sl[i + 1:]:
-            if not vanishes_at(sa, (cc - c) % n, n):
-                return False
-    return True
+    orders = {n // math.gcd(cc - c, n) for i, c in enumerate(sl) for cc in sl[i + 1:]}
+    return 1 not in orders and all(divides(s, sa) for s in sorted(orders))
 
 
 @dataclass(frozen=True)
@@ -198,13 +197,8 @@ def truncated_spectrum(
     spectrum = RationalSpectrum(elements, modulus)
     # C injects mod base, so its level sums stay distinct mod base**levels
     assert len(spectrum) == len(cs) ** levels
-    scaled = [int(e * modulus) for e in spectrum]
-    for i, p in enumerate(scaled):
-        for q in scaled[i + 1:]:
-            if not vanishes_at(expanded, (q - p) % modulus, modulus):
-                raise RuntimeError(
-                    "level expansion of a Hadamard triple lost orthogonality"
-                )
+    if not is_hadamard(modulus, expanded, [int(e * modulus) for e in spectrum]):
+        raise RuntimeError("level expansion of a Hadamard triple lost orthogonality")
     return spectrum
 
 

@@ -1,5 +1,7 @@
 """Command-line surface: reports, exit codes, search, render."""
 
+import contextlib
+import io
 import json
 import re
 import subprocess
@@ -7,9 +9,17 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tilescope import cli
-from tilescope.cli import build_parser, enumerate_normalized, main, run_search
+from tilescope.cli import (
+    build_parser,
+    count_normalized,
+    enumerate_normalized,
+    main,
+    run_search,
+)
 from tilescope.report import analyze_digit_set, report_to_json
 
 TWELVE = "0,1,4,8,9,17,25,33,41,72,76,80"
@@ -126,6 +136,19 @@ class TestAnalyze:
         # the decomposition parts pass even the literal reading
         assert report["spectral"]["all_ok"] is True
 
+    def test_stage_four_spectral_data(self, capsys):
+        # 16 joint checks over the 256 sums of L1 + L2, at modulus 4**4
+        start = time.perf_counter()
+        code, out, _ = run_cli(
+            capsys, "analyze", "-b", "4", "-d", "0,1,512,1537", "--kmax", "2", "--json"
+        )
+        assert time.perf_counter() - start < 10
+        assert code == 0
+        report = json.loads(out)
+        assert report["decomposition"]["stage"] == 1
+        assert report["spectral"]["modulus"] == 256
+        assert report["spectral"]["all_ok"] is True
+
     def test_round_trip(self):
         report, _ = analyze_digit_set(12, [int(x) for x in TWELVE.split(",")])
         assert json.loads(report_to_json(report)) == report
@@ -221,6 +244,25 @@ class TestSearch:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and str(path) in err
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("base", range(2, 7))
+    def test_count_matches_enumeration(self, base):
+        for bound in range(-1, 21):
+            assert count_normalized(base, bound) == len(enumerate_normalized(base, bound))
+
+    def test_cap_checked_before_enumerating(self, capsys, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("the corpus was enumerated before the cap check")
+
+        monkeypatch.setattr(cli, "enumerate_normalized", no_work)
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "search", "-b", "12", "--bound", "64")
+        assert time.perf_counter() - start < 2
+        assert code == 2 and out == ""
+        assert err == (
+            f"error: {count_normalized(12, 64)} digit sets exceed the search cap "
+            f"{cli.MAX_SEARCH_SETS}; lower the bound\n"
+        )
 
     def test_stage_matches_analyze(self):
         records, summary = run_search(4, 12, 6, workers=1)
@@ -324,6 +366,70 @@ class TestRender:
         assert f'viewBox="0 0 81 {height}"' in out
         heights = re.findall(r'<rect x="[^"]*" y="[^"]*" width="[^"]*" height="([^"]*)"', out)
         assert len(heights) > k and all(float(h) > 0 for h in heights)
+
+
+@pytest.mark.parametrize(
+    "command", [("analyze", "-b", "5", "--json"), ("render", "-b", "5", "-k", "2")]
+)
+@pytest.mark.parametrize("flag", ["-d", "--digits"])
+def test_digit_list_starting_negative(capsys, command, flag):
+    code, joined, _ = run_cli(capsys, *command, f"{flag}=-7,0,3,11,40")
+    assert code == 0 and joined
+    assert run_cli(capsys, *command, flag, "-7,0,3,11,40") == (0, joined, "")
+
+
+@st.composite
+def cli_argv(draw):
+    """Argv for any command, from bounded ranges, valid or not."""
+    command = draw(st.sampled_from(["analyze", "search", "render"]))
+    base = draw(st.integers(-1, 8))
+    argv = [command, "-b", str(base)]
+    level = st.integers(-2, 4).map(str)
+
+    def option(flag, values):
+        if draw(st.booleans()):
+            argv.extend([flag, draw(values)])
+
+    if command == "search":
+        argv += ["--bound", str(draw(st.integers(-3, 14)))]
+        option("--mmax", level)
+        option("--workers", st.integers(-2, 1).map(str))
+    else:
+        size = max(base, 0)
+        digits = draw(
+            st.lists(st.integers(-40, 40), max_size=10)  # empty, repeated, any count
+            | st.lists(st.integers(-40, 40), min_size=size, max_size=size, unique=True)
+        )
+        argv += ["-d", ",".join(map(str, digits))]
+    if command == "analyze":
+        option("--mmax", level)
+        option("--kmax", level)
+        if draw(st.booleans()):
+            argv.append("--strict-t2")
+    if command == "render":
+        option("-k", level)
+        option("--format", st.sampled_from(["svg", "json"]))
+        option("--width", st.integers(-20, 200).map(str))
+        option("--height", st.integers(-20, 200).map(str))
+    elif draw(st.booleans()):
+        argv.append("--json")
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(cli_argv())
+def test_any_argv_ends_in_an_exit_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's own usage errors
+            assert exc.code == 2, argv
+            return
+    assert code in (0, 2, 3), argv
+    if code == 2:
+        assert err.getvalue().startswith("error: "), argv
+        assert err.getvalue().count("\n") == 1, argv
 
 
 class TestParser:

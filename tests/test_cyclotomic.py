@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import find_tiling_complement
+from tilescope import cyclotomic
+from tilescope.cli import main
 from tilescope import (
     IntPolynomial,
     analyze_digit_set,
@@ -147,6 +149,32 @@ class TestDivides:
         assert not divides(4, a + [5]) and not divides_oracle(4, a + [5])
         with pytest.raises(ValueError, match="empty set"):
             divides(4, [])
+
+
+class TestNoDenseDivision:
+    """Every decision in ``analyze`` runs on residue counts alone."""
+
+    @pytest.mark.parametrize(
+        "base, digits",
+        [
+            # (T2) and the joint checks reach composite orders 6 and 12
+            ("12", "0,1,4,8,9,17,25,33,41,72,76,80"),
+            # stage 4: joint checks over 256 sums at modulus 256
+            ("4", "0,1,512,1537"),
+        ],
+    )
+    def test_analyze_never_divides_densely(self, capsys, monkeypatch, base, digits):
+        argv = ["analyze", "-b", base, "-d", digits, "--json"]
+        assert main(argv) == 0
+        expected = capsys.readouterr().out
+
+        def dense(*args):
+            raise AssertionError("a decision reached the dense division")
+
+        monkeypatch.setattr(cyclotomic, "cyclotomic_poly", dense)
+        monkeypatch.setattr(IntPolynomial, "divmod_monic", dense)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == expected
 
 
 class TestSupport:

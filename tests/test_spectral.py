@@ -1,5 +1,6 @@
 """Hadamard triples and assembled spectral data."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -11,8 +12,11 @@ from tilescope import (
     SkewDecomposition,
     SpectralConditionError,
     build_spectral_data,
+    divides_oracle,
     expand,
+    gen_weak_product_form,
     is_hadamard,
+    least_stage,
     lift_stage,
     skew_decompose,
     truncated_spectrum,
@@ -25,7 +29,92 @@ TWELVE = (0, 1, 4, 8, 9, 17, 25, 33, 41, 72, 76, 80)
 small_sets = st.sets(st.integers(0, 15), min_size=1, max_size=5)
 
 
+# (A, B) with A + B complete mod #A * #B, and the largest stage m whose
+# modulus (#A * #B)**m stays within 144
+WEAK_FACTORS = [
+    ([0, 1], [0, 2], 3),
+    ([0, 1], [0, 2, 4], 2),
+    ([0, 3], [0, 1, 2], 2),
+    ([0, 1, 2, 3], [0, 4], 2),
+    ([0, 1, 2], [0, 3, 6], 2),
+    ([0, 1, 2], [0, 3, 6, 9], 2),
+    ([0, 1, 2, 3], [0, 4, 8], 2),
+]
+
+
+def hadamard_by_pairs(n, a, ell):
+    """The definition: #A == #L, and every pair of L has an order s > 1
+    at which Phi_s divides the mask of A."""
+    sa, sl = sorted(set(a)), sorted(set(ell))
+    if len(sa) != len(sl):
+        return False
+    decided = {}
+    for i, c in enumerate(sl):
+        for cc in sl[i + 1:]:
+            s = n // math.gcd(cc - c, n)
+            if s == 1:
+                return False
+            if s not in decided:
+                decided[s] = divides_oracle(s, sa)
+            if not decided[s]:
+                return False
+    return True
+
+
+@st.composite
+def corpus_triples(draw):
+    """A part, block or joint triple of a weak product form's spectral data."""
+    a, b, top = draw(st.sampled_from(WEAK_FACTORS))
+    pairs = st.tuples(st.sampled_from(a), st.sampled_from(b))
+    offsets = draw(st.dictionaries(pairs, st.integers(-2, 2), max_size=3))
+    d = gen_weak_product_form(a, b, draw(st.integers(1, top)), offsets)
+    _, dec = least_stage(d, top)
+    try:
+        rep = build_spectral_data(dec)
+    except SpectralConditionError:
+        return None
+    block = draw(st.sampled_from(dec.Bs))
+    joint = (
+        [x + u for x in dec.A for u in block],
+        [x + y for x in rep.l1 for y in rep.l2],
+    )
+    part, spectrum = draw(st.sampled_from([(dec.A, rep.l1), (block, rep.l2), joint]))
+    return rep.modulus, part, spectrum
+
+
+@st.composite
+def hadamard_cases(draw):
+    """(n, A, L): about half genuine triples, some L with points congruent mod n."""
+    triple = draw(corpus_triples()) if draw(st.integers(0, 2)) else None
+    if triple is None:
+        n = draw(st.integers(2, 144))
+        a = draw(st.sets(st.integers(-60, 200), min_size=1, max_size=8))
+        ell = draw(st.lists(st.integers(-60, 200), min_size=len(a), max_size=len(a)))
+    else:
+        n, a, ell = triple
+        t, u = draw(st.integers(-50, 50)), draw(st.integers(-50, 50))
+        a, ell = [x + t for x in a], [c + u for c in ell]
+    ell = list(ell)
+    if len(ell) > 1:
+        i, j = draw(st.permutations(range(len(ell))))[:2]
+        k, move = draw(st.integers(-2, 2)), draw(st.integers(0, 2))
+        if move == 1:
+            ell[i] += k * n  # same residue, same verdict
+        elif move == 2:
+            ell[i] = ell[j] + k * n  # two points congruent mod n
+    return n, a, ell
+
+
 class TestIsHadamard:
+    @settings(max_examples=300, deadline=None)
+    @given(hadamard_cases())
+    def test_matches_per_pair_definition(self, case):
+        n, a, ell = case
+        assert is_hadamard(n, a, ell) == hadamard_by_pairs(n, a, ell)
+
+    def test_congruent_points_are_not_orthogonal(self):
+        assert not is_hadamard(4, [0, 1], [0, 4])
+
     def test_basic_pair(self):
         assert is_hadamard(4, [0, 1], [0, 2])
 
