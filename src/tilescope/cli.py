@@ -5,7 +5,7 @@ validation errors and for an --out path that cannot be opened, 3 when no
 level up to --mmax is in skew product form (inconclusive).  ``search``
 emits one JSON line per digit set followed by a summary line; the worker
 count comes from --workers, overridden by the ``TILESCOPE_WORKERS``
-environment variable.
+environment variable, and is clamped to the number of cores.
 """
 
 from __future__ import annotations
@@ -112,6 +112,7 @@ def run_search(
         )
     corpus = enumerate_normalized(base, bound)
     jobs = [(digits, base, m_max) for digits in corpus]
+    workers = min(workers, os.cpu_count() or 1)  # a fork pool starts all workers at once
     if workers > 1 and len(jobs) > 1:
         from concurrent.futures import ProcessPoolExecutor  # only pooled runs import it
 
@@ -248,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _attach_digit_lists(argv: list[str]) -> list[str]:
-    """Spell ``-d -7,0,3`` as ``-d=-7,0,3``.
+    """Spell ``-d -7,0,3`` as ``-d=-7,0,3``; argparse reads ``--d`` up to ``--digits`` alike.
 
     argparse reads a token that starts with '-' and is not a single number
     as an option.  No option starts with '-' and a digit, so the token can
@@ -256,7 +257,7 @@ def _attach_digit_lists(argv: list[str]) -> list[str]:
     """
     out: list[str] = []
     for arg in argv:
-        if out and out[-1] in ("-d", "--digits") and re.match(r"-\d", arg):
+        if out and re.fullmatch(r"-d|--d(i(g(i(ts?)?)?)?)?", out[-1]) and re.match(r"-\d", arg):
             out[-1] += "=" + arg
         else:
             out.append(arg)

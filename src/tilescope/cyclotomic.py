@@ -19,7 +19,8 @@ Phi_{p**k}(1) = p, only primes dividing #A can enter it.  (T1) equates
 #A with the product of the primes under the support, (T2) asks for
 divisibility at products of coprime support entries, and together they
 yield the spectrum ``{sum of k_s / s}`` in the cyclic group of order
-lcm(support).
+lcm(support).  Each support decides (T2) in both readings and builds its
+spectrum once, from integers over lcm(support), and caches both on itself.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, product
 from typing import Iterable, Sequence
 
@@ -300,15 +301,20 @@ class PrimePowerSupport:
         all combinations of distinct entries (powers of one prime included),
         a literal reading that is strictly harder to satisfy.
         """
+        return self._t2_readings[strict]
+
+    @cached_property
+    def _t2_readings(self) -> tuple[bool, bool]:
+        # (relaxed, strict): only a failing subset of distinct primes fails both
+        strict = True
         for k in range(2, len(self.entries) + 1):
             for combo in combinations(self.entries, k):
-                if not strict:
-                    primes = [prime_power_root(e) for e in combo]
-                    if len(set(primes)) != len(primes):
-                        continue
-                if not divides(math.prod(combo), self.values):
-                    return False
-        return True
+                distinct = len({prime_power_root(e) for e in combo}) == k
+                if (distinct or strict) and not divides(math.prod(combo), self.values):
+                    if distinct:
+                        return False, False
+                    strict = False
+        return True, strict
 
     def spectrum(self) -> "RationalSpectrum":
         """The explicit spectrum ``{sum of k_s / s mod 1}`` of a (T1)+(T2) set.
@@ -317,21 +323,20 @@ class PrimePowerSupport:
         0..p-1; the sums are reduced into [0, 1) and are pairwise distinct,
         giving exactly #A elements with common denominator lcm(support).
         """
-        vals = list(self.values)
         if not self.t1:
-            raise ValueError(f"(T1) fails for {vals}")
+            raise ValueError(f"(T1) fails for {list(self.values)}")
         if not self.t2():
-            raise ValueError(f"(T2) fails for {vals}")
-        elements = set()
-        ranges = [range(prime_power_root(s)) for s in self.entries]
-        for ks in product(*ranges):
-            total = sum(
-                (Fraction(k, s) for k, s in zip(ks, self.entries)),
-                start=Fraction(0),
-            )
-            elements.add(total % 1)
-        spectrum = RationalSpectrum(tuple(sorted(elements)), self.lcm)
-        assert len(spectrum) == len(vals)
+            raise ValueError(f"(T2) fails for {list(self.values)}")
+        return self._spectrum
+
+    @cached_property
+    def _spectrum(self) -> "RationalSpectrum":
+        # the sums as integers over n = lcm(support): k_s / s = k_s * (n/s) / n
+        n = self.lcm
+        terms = [[k * (n // s) for k in range(prime_power_root(s))] for s in self.entries]
+        numerators = sorted({sum(ks) % n for ks in product(*terms)})
+        spectrum = RationalSpectrum(tuple(Fraction(v, n) for v in numerators), n)
+        assert len(spectrum) == len(self.values)
         return spectrum
 
 

@@ -6,9 +6,10 @@ stopping early where a stage rules the rest out and recording the
 stopping stage machine-readably.  The least stage m and the
 decomposition of D_m come from :func:`~tilescope.skewform.least_stage`,
 the one stage finder that ``search`` uses as well; the tiling set is
-built from the same level-m values.  The returned report is a
-plain JSON-compatible dict with deterministic key order and content:
-identical inputs give byte-identical serializations.
+built from the same level-m values, and the cyclotomic flags from the
+supports the decomposition holds for the spectral data as well.  The
+returned report is a plain JSON-compatible dict with deterministic key
+order and content: identical inputs give byte-identical serializations.
 
 Schema evolution is additive only; field names are documented in the
 README and pinned by the test suite.
@@ -43,19 +44,16 @@ def default_k_max(base: int) -> int:
 
 def _cyclo_part(supp: PrimePowerSupport, strict_gate: bool) -> dict[str, Any]:
     """Support, (T1)/(T2) flags, and the spectrum when the gate passes."""
-    t1 = supp.t1
-    t2 = supp.t2()
-    # every subset the relaxed reading tests, the strict one tests too
-    t2_strict = t2 and supp.t2(strict=True)
     part: dict[str, Any] = {
         "set": list(supp.values),
         "support": list(supp.entries),
-        "t1": t1,
-        "t2": t2,
-        "t2_strict": t2_strict,
+        "t1": supp.t1,
+        "t2": supp.t2(),
+        "t2_strict": supp.t2(strict=True),
+        "spectrum": None,
     }
-    part["spectrum"] = None
-    if t1 and t2 and (t2_strict or not strict_gate):
+    # the strict reading tests every subset the relaxed one does
+    if supp.t1 and supp.t2(strict=strict_gate):
         spec = supp.spectrum()
         part["spectrum"] = {
             "denominator": spec.denominator,
@@ -167,30 +165,24 @@ def analyze_digit_set(
         dec, verify_decomposition(dec, level.values)
     )
 
-    supports = {
-        part: support(part) for part in dict.fromkeys((d.digits, dec.A, *dec.Bs))
-    }
+    parts = {part: _cyclo_part(supp, strict_t2) for part, supp in dec.supports.items()}
     report["cyclotomic"] = {
-        "full": _cyclo_part(supports[d.digits], strict_t2),
-        "A": _cyclo_part(supports[dec.A], strict_t2),
-        "B": [_cyclo_part(supports[b], strict_t2) for b in dec.Bs],
+        "full": parts.get(d.digits) or _cyclo_part(support(d.digits), strict_t2),
+        "A": parts[dec.A],
+        "B": [parts[b] for b in dec.Bs],
     }
 
-    try:
-        strict_block = strict_t2 and not all(
-            part["t2_strict"]
-            for part in [report["cyclotomic"]["A"], *report["cyclotomic"]["B"]]
-        )
-        if strict_block:
-            report["spectral"] = {
-                "available": False,
-                "reason": "strict (T2) fails for a decomposition part",
-            }
-        else:
+    if strict_t2 and not all(supp.t2(strict=True) for supp in dec.supports.values()):
+        report["spectral"] = {
+            "available": False,
+            "reason": "strict (T2) fails for a decomposition part",
+        }
+    else:
+        try:
             rep = build_spectral_data(dec)
             report["spectral"] = {"available": True, **_spectral_json(rep)}
-    except SpectralConditionError as err:
-        report["spectral"] = {"available": False, "reason": str(err)}
+        except SpectralConditionError as err:
+            report["spectral"] = {"available": False, "reason": str(err)}
 
     mr = measure_report(d, k_max, j)
     report["measure_report"] = {

@@ -11,13 +11,14 @@ member plays a_j.
 
 Detection, the least-stage search over digit expansions, verification,
 stage lifting, and the two classical generators (product form and weak
-product form) live here.
+product form) live here; a decomposition owns the supports of its parts.
 """
 
 from __future__ import annotations
 
 from itertools import product
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from .core import (
@@ -28,6 +29,7 @@ from .core import (
     residue_mask,
     translates_cover_exactly,
 )
+from .cyclotomic import PrimePowerSupport, support
 
 
 @dataclass(frozen=True)
@@ -68,6 +70,11 @@ class SkewDecomposition:
     def digit_values(self) -> tuple[int, ...]:
         """All represented digits, sorted."""
         return tuple(sorted(v for block in self.blocks() for v in block))
+
+    @cached_property
+    def supports(self) -> dict[tuple[int, ...], PrimePowerSupport]:
+        """The support of A and of each distinct B_j, keyed by the part; built once."""
+        return {part: support(part) for part in dict.fromkeys((self.A, *self.Bs))}
 
 
 def skew_decompose(

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .core import residues_mod
-from .cyclotomic import RationalSpectrum, divides, support
+from .cyclotomic import RationalSpectrum, divides
 from .skewform import SkewDecomposition
 
 # Level cap for truncated spectra: the pair verification is quadratic in
@@ -129,11 +129,9 @@ def build_spectral_data(dec: SkewDecomposition) -> AnLaiReport:
     if dec.stage != 1:
         raise ValueError("spectral data needs a 1-stage decomposition; lift first")
     n = dec.base
-    supports = {part: support(part) for part in dict.fromkeys((dec.A, *dec.Bs))}
-    flags = {part: (supp.t1, supp.t2()) for part, supp in supports.items()}
-    part_flags = {"A": flags[dec.A]}
-    for j, b in enumerate(dec.Bs):
-        part_flags[f"B{j}"] = flags[b]
+    supports = dec.supports
+    labels = {"A": dec.A} | {f"B{j}": b for j, b in enumerate(dec.Bs)}
+    part_flags = {k: (supports[p].t1, supports[p].t2()) for k, p in labels.items()}
     bad = sorted(k for k, (t1, t2) in part_flags.items() if not (t1 and t2))
     if bad:
         raise SpectralConditionError(
@@ -148,7 +146,9 @@ def build_spectral_data(dec: SkewDecomposition) -> AnLaiReport:
     l1 = supp_a.spectrum().scaled(n)
     l2 = supp_b.spectrum().scaled(n)
     sums = _sumset(l1, l2)
-    joint = tuple(is_hadamard(n, [x + u for x in dec.A for u in b], sums) for b in dec.Bs)
+    blocks = dict.fromkeys(dec.Bs)  # equal blocks give equal triples: check each once
+    part_ok = {b: is_hadamard(n, b, l2) for b in blocks}
+    joint_ok = {b: is_hadamard(n, [x + u for x in dec.A for u in b], sums) for b in blocks}
     counting = len(sums) == n and residues_mod(sums, n) == tuple(range(n))
     return AnLaiReport(
         modulus=n,
@@ -160,8 +160,8 @@ def build_spectral_data(dec: SkewDecomposition) -> AnLaiReport:
         l1=l1,
         l2=l2,
         hadamard_a=is_hadamard(n, dec.A, l1),
-        hadamard_b=tuple(is_hadamard(n, b, l2) for b in dec.Bs),
-        hadamard_joint=joint,
+        hadamard_b=tuple(part_ok[b] for b in dec.Bs),
+        hadamard_joint=tuple(joint_ok[b] for b in dec.Bs),
         counting_identity=counting,
     )
 

@@ -200,6 +200,37 @@ class TestSearch:
         assert "summary" in payloads[-1]
         assert payloads[-1]["summary"]["count"] == len(lines) - 1
 
+    @pytest.mark.parametrize("via_env", [False, True])
+    def test_worker_count_clamped_to_cores(self, capsys, monkeypatch, via_env):
+        pools = []
+
+        class RecordingPool:
+            """Records its size and runs the jobs in this process."""
+
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs, chunksize=1):
+                return map(fn, jobs)
+
+        args = ("search", "-b", "4", "--bound", "9", "--json")
+        _, single, _ = run_cli(capsys, *args)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
+        if via_env:
+            monkeypatch.setenv("TILESCOPE_WORKERS", "100000")
+            pooled = run_cli(capsys, *args)
+        else:
+            pooled = run_cli(capsys, *args, "--workers", "100000")
+        assert pooled == (0, single, "")
+        assert pools == [2]
+
     def test_worker_env_override_is_deterministic(self, capsys, monkeypatch):
         args = ("search", "-b", "4", "--bound", "9", "--json")
         _, single, _ = run_cli(capsys, *args)
@@ -374,6 +405,16 @@ class TestRender:
 @pytest.mark.parametrize("flag", ["-d", "--digits"])
 def test_digit_list_starting_negative(capsys, command, flag):
     code, joined, _ = run_cli(capsys, *command, f"{flag}=-7,0,3,11,40")
+    assert code == 0 and joined
+    assert run_cli(capsys, *command, flag, "-7,0,3,11,40") == (0, joined, "")
+
+
+@pytest.mark.parametrize(
+    "command", [("analyze", "-b", "5", "--json"), ("render", "-b", "5", "-k", "2")]
+)
+@pytest.mark.parametrize("flag", ["--d", "--dig", "--digit"])
+def test_digit_list_after_a_prefix_of_digits(capsys, command, flag):
+    code, joined, _ = run_cli(capsys, *command, "-d=-7,0,3,11,40")
     assert code == 0 and joined
     assert run_cli(capsys, *command, flag, "-7,0,3,11,40") == (0, joined, "")
 

@@ -1,7 +1,10 @@
 """Mask polynomials, cyclotomic divisibility, (T1)/(T2), and spectra."""
 
 import cmath
+import functools
+import math
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +12,9 @@ from hypothesis import strategies as st
 
 from conftest import find_tiling_complement
 from tilescope import cyclotomic
-from tilescope.cli import main
+from tilescope.cli import enumerate_normalized, main
+from tilescope.core import DigitSet
+from tilescope.skewform import least_stage
 from tilescope import (
     IntPolynomial,
     analyze_digit_set,
@@ -217,7 +222,7 @@ class TestSupport:
 
 
 class TestSupportOnce:
-    """``analyze`` derives each set's support once per consumer."""
+    """``analyze`` derives each set's support once per analysis."""
 
     @pytest.mark.parametrize(
         "base, digits",
@@ -230,14 +235,68 @@ class TestSupportOnce:
             calls.append(tuple(a))
             return support(a)
 
-        for module in ("cyclotomic", "report", "spectral"):
+        # every pipeline module that binds it, the decomposition's included
+        for module in ("cyclotomic", "report", "skewform"):
             monkeypatch.setattr(f"tilescope.{module}.support", counted)
         report, _ = analyze_digit_set(base, digits)
         cyclo = report["cyclotomic"]
         parts = {tuple(cyclo["A"]["set"])} | {tuple(b["set"]) for b in cyclo["B"]}
         full = {tuple(cyclo["full"]["set"])}
         assert report["spectral"]["all_ok"] is True
-        assert len(calls) == len(full | parts) + len(parts)
+        assert len(calls) == len(full | parts)
+
+
+@functools.cache
+def corpus_parts() -> list[tuple[int, ...]]:
+    """The A and B_j parts of the least-stage decompositions of small corpora."""
+    parts = set()
+    for base, bound in ((4, 16), (6, 12), (8, 12), (9, 12), (12, 16)):
+        for digits in enumerate_normalized(base, bound):
+            found = least_stage(DigitSet(base, digits), 3)
+            if found is not None:
+                parts.update((found[1].A, *found[1].Bs))
+    return sorted(parts)
+
+
+@st.composite
+def progression_sums(draw):
+    """Sums of progressions {0, t, ..., (p-1)t}: supports with several entries."""
+    out = {draw(st.integers(-20, 20))}
+    for _ in range(draw(st.integers(1, 3))):
+        p, t = draw(st.sampled_from([2, 3])), draw(st.integers(1, 12))
+        out = {x + j * t for x in out for j in range(p)}
+    return sorted(out)
+
+
+def t2_by_definition(supp, strict: bool) -> bool:
+    """(T2) subset by subset, strict or over powers of distinct primes."""
+    for k in range(2, len(supp.entries) + 1):
+        for combo in combinations(supp.entries, k):
+            distinct = len({prime_power_root(e) for e in combo}) == k
+            if (strict or distinct) and not divides_oracle(math.prod(combo), supp.values):
+                return False
+    return True
+
+
+class TestSupportRecord:
+    """One support decides (T2) and builds its spectrum as the definitions say."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(raw_sets | progression_sums() | st.deferred(lambda: st.sampled_from(corpus_parts())))
+    def test_matches_definitions(self, a):
+        supp = support(a)
+        relaxed, strict = t2_by_definition(supp, False), t2_by_definition(supp, True)
+        assert (supp.t2(), supp.t2(strict=True)) == (relaxed, strict)
+        if not (supp.t1 and relaxed):
+            with pytest.raises(ValueError):
+                supp.spectrum()
+            return
+        sums = {
+            sum((Fraction(k, s) for k, s in zip(ks, supp.entries)), Fraction(0)) % 1
+            for ks in product(*(range(prime_power_root(s)) for s in supp.entries))
+        }
+        assert supp.spectrum().elements == tuple(sorted(sums))
+        assert supp.spectrum() is supp.spectrum()
 
 
 class TestConditions:
