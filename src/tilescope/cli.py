@@ -6,6 +6,19 @@ level up to --mmax is in skew product form (inconclusive).  ``search``
 emits one JSON line per digit set followed by a summary line; the worker
 count comes from --workers, overridden by the ``TILESCOPE_WORKERS``
 environment variable, and is clamped to the number of cores.
+
+``search`` classifies one set of each reflection pair.  D -> c - D with
+c = max D maps the normalized corpus onto itself and keeps every record
+field but the digits: T(b, c - D) = c/(b-1) - T(b, D); level m of c - D
+is a constant minus D_m, so the equal-value digit strings of one map onto
+those of the other and the collision levels agree; and the skew form of
+each level carries over (class minima become a constant minus class
+maxima, each B_j becomes max B_j - B_j, and A' + B'_j is congruent to a
+constant minus A + B_j mod b**m).  So only sets with ``digits <= mirror``
+are classified, serially or in the pool, and each other record is its
+mirror's, which comes earlier in corpus order, with the digits replaced.
+A set's stage search stops below its collision level, which the carry
+automaton has already found, and never expands that level.
 """
 
 from __future__ import annotations
@@ -72,7 +85,7 @@ def _search_record(args: tuple[tuple[int, ...], int, int]) -> dict[str, Any]:
     d = DigitSet(base, digits)
     witness_level = collision_level(d)
     tile = witness_level is None
-    found = least_stage(d, m_max)
+    found = least_stage(d, m_max, collides_at=witness_level)
     m_found = None if found is None else found[0].level
     if tile:
         status = "tile" if m_found is not None else "inconclusive"
@@ -111,17 +124,25 @@ def run_search(
             f"lower the bound"
         )
     corpus = enumerate_normalized(base, bound)
-    jobs = [(digits, base, m_max) for digits in corpus]
+    # D and its reflection max D - D share every field but the digits, and
+    # the smaller of the two comes first in corpus order: classify that one
+    mirrors = [tuple(digits[-1] - x for x in reversed(digits)) for digits in corpus]
+    jobs = [(digits, base, m_max) for digits, mirror in zip(corpus, mirrors) if digits <= mirror]
     workers = min(workers, os.cpu_count() or 1)  # a fork pool starts all workers at once
     if workers > 1 and len(jobs) > 1:
         from concurrent.futures import ProcessPoolExecutor  # only pooled runs import it
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(
+            classified = list(
                 pool.map(_search_record, jobs, chunksize=max(len(jobs) // (4 * workers), 1))
             )
     else:
-        records = [_search_record(job) for job in jobs]
+        classified = [_search_record(job) for job in jobs]
+    by_digits = {job[0]: record for job, record in zip(jobs, classified)}
+    records = [
+        by_digits[digits] if digits <= mirror else {**by_digits[mirror], "digits": list(digits)}
+        for digits, mirror in zip(corpus, mirrors)
+    ]
     tiles = [r for r in records if r["status"] == "tile"]
     summary = {
         "command": "search",
@@ -151,7 +172,11 @@ def _cmd_analyze(args: argparse.Namespace, out: TextIO) -> int:
 
 
 def _cmd_search(args: argparse.Namespace, out: TextIO) -> int:
-    workers = int(os.environ.get("TILESCOPE_WORKERS", args.workers))
+    env = os.environ.get("TILESCOPE_WORKERS")
+    try:
+        workers = args.workers if env is None else int(env)
+    except ValueError:
+        raise ValueError(f"TILESCOPE_WORKERS must be an integer, got {env!r}") from None
     # opened before the corpus runs, so a path that cannot be opened costs no work
     sink = open(args.out, "w") if args.out else out
     try:

@@ -115,15 +115,23 @@ def normalize(digits: Iterable[int], base: int) -> tuple[DigitSet, int, int]:
     return DigitSet(base, tuple(d // scale for d in shifted)), offset, scale
 
 
-def expand(d: DigitSet, level: int) -> ExpandedDigits:
+def expand(
+    d: DigitSet, level: int, below: ExpandedDigits | None = None
+) -> ExpandedDigits:
     """Distinct values of D + b*D + ... + b**(level-1)*D.
+
+    Level k is D + b*D_(k-1), built from the one below; ``below``, an
+    expansion of ``d`` at a lower level, saves rebuilding the levels up to
+    it, so a caller walking up the levels pays one step per level.
 
     Raises :class:`ExpansionLimitError` instead of attempting more than
     ``MAX_EXPANSION_TERMS`` formal sums.
     """
     _check_level(d.base, level)
-    values = set(d.digits)
-    for _ in range(level - 1):
+    values, reached = (d.digits, 1) if below is None else (below.values, below.level)
+    if reached > level:
+        raise ValueError(f"cannot build level {level} from level {reached}")
+    for _ in range(reached, level):
         values = {dd + d.base * v for v in values for dd in d.digits}
     return ExpandedDigits(
         d.base, level, tuple(sorted(values)), d.base**level - len(values)

@@ -24,6 +24,7 @@ from typing import Iterable, Mapping
 from .core import (
     DigitSet,
     ExpandedDigits,
+    _check_level,
     direct_sum_complete,
     expand,
     residue_mask,
@@ -117,13 +118,23 @@ def skew_decompose(
 
 
 def least_stage(
-    d: DigitSet, m_max: int
+    d: DigitSet, m_max: int, collides_at: int | None = None
 ) -> tuple[ExpandedDigits, SkewDecomposition] | None:
     """Least m <= m_max with D_m in 1-stage skew product form at base b**m.
 
-    Returns the level-m expansion (built by :func:`~tilescope.core.expand`)
-    with its decomposition, or None when a level collides first or no
-    level up to m_max decomposes.
+    Returns the level-m expansion with its decomposition, or None when a
+    level collides first or no level up to m_max decomposes.  Each level
+    is built from the one below (:func:`~tilescope.core.expand` with
+    ``below``), and the work cap is checked at each level as it is
+    reached, never up front for m_max.
+
+    ``collides_at`` is the first colliding level L when the caller already
+    knows it (``search`` has it from the carry automaton).  The loop then
+    stops at min(m_max, L - 1) and never expands level L; every level below
+    L is still tried, so a decomposition there is still found.  When
+    L <= m_max, the cap is checked for level L without expanding it, so an
+    over-cap level raises the same error at the same level as without the
+    hint.
 
     Such an m also stabilizes the chain J_k = D_k + b**k * Z.  Let D_m be
     the blocks a_j + B*B_j with B = b**m and every A + B_j complete mod B.
@@ -133,16 +144,29 @@ def least_stage(
     passes its self-replication check.  The converse, that J_(m+1) = J_m
     only where D_m decomposes, is what acceptance criterion 4 tests on
     every base-4 tile with digits in [0, 20], stage by stage.
+
+    The answer is invariant under the reflection D -> c - D, c = max D.
+    Level m of c - D is c*(1 + b + ... + b**(m-1)) - D_m, so it collides
+    exactly when D_m does, and its residue classes mod b**m are those of
+    D_m reflected: class minima become the constant minus class maxima,
+    each B_j becomes max B_j - B_j, and A' + B'_j is congruent to a
+    constant minus (A + B_j) mod b**m, complete exactly when A + B_j is.
+    ``search`` classifies one set of each reflection pair on this basis.
     """
     if m_max < 1:
         raise ValueError(f"m_max must be >= 1, got {m_max}")
-    for m in range(1, m_max + 1):
-        level = expand(d, m)
+    top = m_max if collides_at is None else min(m_max, collides_at - 1)
+    level = None
+    for m in range(1, top + 1):
+        level = expand(d, m, below=level)
         if level.collisions:
             return None
         dec = skew_decompose(level.values, d.base**m, 1)
         if dec is not None:
             return level, dec
+    if top < m_max:
+        # the colliding level is not expanded, but its cap still applies
+        _check_level(d.base, collides_at)
     return None
 
 

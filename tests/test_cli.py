@@ -295,6 +295,32 @@ class TestSearch:
             f"{cli.MAX_SEARCH_SETS}; lower the bound\n"
         )
 
+    @pytest.mark.parametrize("base, bound", [(3, 30), (4, 20), (6, 12)])
+    def test_reflection_keeps_every_field_but_the_digits(self, base, bound):
+        # the oracle for deriving a record from its mirror: classify both
+        direct = []
+        for digits in enumerate_normalized(base, bound):
+            mirror = tuple(sorted(digits[-1] - x for x in digits))
+            record = cli._search_record((digits, base, 6))
+            reflected = cli._search_record((mirror, base, 6))
+            assert record["digits"] == list(digits) and reflected["digits"] == list(mirror)
+            assert {**reflected, "digits": record["digits"]} == record, digits
+            direct.append(record)
+        assert run_search(base, bound, 6, workers=1)[0] == direct
+
+    def test_pooled_records_equal_serial_with_self_mirrors(self):
+        corpus = enumerate_normalized(4, 16)
+        assert any(d == tuple(d[-1] - x for x in reversed(d)) for d in corpus)
+        serial = run_search(4, 16, 6, workers=1)
+        pooled = run_search(4, 16, 6, workers=2)
+        assert json.dumps(pooled) == json.dumps(serial)
+
+    def test_worker_env_must_be_an_integer(self, capsys, monkeypatch):
+        monkeypatch.setenv("TILESCOPE_WORKERS", "abc")
+        code, out, err = run_cli(capsys, "search", "-b", "3", "--bound", "10")
+        assert code == 2 and out == ""
+        assert err == "error: TILESCOPE_WORKERS must be an integer, got 'abc'\n"
+
     def test_stage_matches_analyze(self):
         records, summary = run_search(4, 12, 6, workers=1)
         tiles = [r for r in records if r["status"] == "tile"]

@@ -120,6 +120,27 @@ class TestExpand:
         assert got.values == (-3, -2, -1, 0) and got.collisions == 0
 
 
+class TestExpandFromBelow:
+    @given(digit_sets(max_base=4, max_digit=12), st.integers(1, 4))
+    def test_each_level_from_the_one_below(self, d, top):
+        level = None
+        for m in range(1, top + 1):
+            level = expand(d, m, below=level)
+            assert list(level.values) == brute_expand(d.digits, d.base, m)
+            assert level == expand(d, m)
+
+    def test_rejects_a_higher_level_below(self):
+        d = DigitSet(2, (0, 1))
+        with pytest.raises(ValueError, match="cannot build level 2 from level 3"):
+            expand(d, 2, below=expand(d, 3))
+
+    def test_cap_checked_at_the_level_asked(self):
+        d = DigitSet(5, (0, 1, 2, 3, 4))
+        below = expand(d, max_expansion_level(5))
+        with pytest.raises(ExpansionLimitError, match="level 11 too large for base 5"):
+            expand(d, 11, below=below)
+
+
 class TestResiduesMod:
     def test_product_form(self):
         assert residues_mod([0, 1, 8, 9], 4) == (0, 1)

@@ -6,10 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tilescope.core
+import tilescope.skewform
 from conftest import brute_expand
 from tilescope import (
     DigitSet,
+    ExpansionLimitError,
     SkewDecomposition,
+    collision_level,
     direct_sum_complete,
     expand,
     gen_product_form,
@@ -308,3 +312,65 @@ class TestLeastStage:
             assert found is None or found[0].level == stabilization_exponent(d, 4)
         else:
             assert found is None
+
+
+@st.composite
+def weak_product_tiles(draw) -> DigitSet:
+    """Normalized weak product forms in bases 2-8, with random offsets."""
+    base = draw(st.integers(2, 8))
+    size_a = draw(st.sampled_from([f for f in range(1, base + 1) if base % f == 0]))
+    unit = draw(st.sampled_from([u for u in range(1, base) if math.gcd(u, base) == 1]))
+    shift = st.integers(-1, 2)
+    a = [unit * j + base * draw(shift) for j in range(size_a)]
+    b = [unit * size_a * j + base * draw(shift) for j in range(base // size_a)]
+    offsets = draw(st.dictionaries(st.tuples(st.sampled_from(a), st.sampled_from(b)), shift))
+    d = gen_weak_product_form(a, b, draw(st.integers(1, 3)), offsets)
+    return normalize(d.digits, base)[0]
+
+
+def random_sets():
+    """Digit sets of random digits in [0, 40], bases 2-8: mostly non-tiles."""
+    return st.integers(2, 8).flatmap(
+        lambda b: st.lists(st.integers(0, 40), min_size=b, max_size=b, unique=True).map(
+            lambda ds: DigitSet(b, tuple(ds))
+        )
+    )
+
+
+class TestStopLevel:
+    """``least_stage`` told the collision level answers as without the hint."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(weak_product_tiles(), random_sets()), st.integers(1, 4))
+    def test_same_answer_with_the_collision_level(self, d, m_max):
+        assert least_stage(d, m_max, collides_at=collision_level(d)) == least_stage(d, m_max)
+
+    def test_collision_level_is_never_expanded(self, monkeypatch):
+        d = DigitSet(3, (0, 1, 15))
+        assert collision_level(d) == 4
+        reached = []
+
+        def recording(d, level, below=None):
+            reached.append(level)
+            return tilescope.core.expand(d, level, below)
+
+        monkeypatch.setattr(tilescope.skewform, "expand", recording)
+        assert least_stage(d, 6, collides_at=4) is None
+        assert reached == [1, 2, 3]
+
+    @pytest.mark.parametrize("m_max", [3, 4, 6])
+    def test_cap_at_the_collision_level(self, monkeypatch, m_max):
+        # level 4 collides and is the first level over the cap
+        d = DigitSet(3, (0, 1, 15))
+        monkeypatch.setattr(tilescope.core, "MAX_EXPANSION_TERMS", 3**3)
+        outcomes = []
+        for hint in (None, 4):
+            try:
+                outcomes.append(least_stage(d, m_max, collides_at=hint))
+            except ExpansionLimitError as err:
+                outcomes.append(str(err))
+        assert outcomes[0] == outcomes[1]
+        if m_max >= 4:
+            assert outcomes[0] == "level 4 too large for base 3: at most 3 levels fit the work cap"
+        else:
+            assert outcomes[0] is None
