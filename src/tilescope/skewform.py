@@ -17,6 +17,7 @@ product form) live here; a decomposition owns the supports of its parts.
 from __future__ import annotations
 
 from itertools import product
+from operator import ge
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
@@ -89,22 +90,25 @@ def skew_decompose(
     every class.  Representatives are the class minima.  Returns None
     when any condition fails.
     """
-    vals = sorted(set(values))
+    vals = tuple(values)
+    if any(map(ge, vals, vals[1:])):  # not ascending: sort and de-duplicate
+        vals = tuple(sorted(set(vals)))
     if len(vals) != base:
         raise ValueError(f"expected {base} values, got {len(vals)}")
+    # equal class sizes need a class count dividing base; most sets stop here
+    count = len(set(map(base.__rmod__, vals)))
+    if base % count:
+        return None
+    size = base // count
     modulus = base**stage
-    classes: dict[int, list[int]] = {}
-    for v in vals:
-        classes.setdefault(v % base, []).append(v)
-    size = None
+    by_class = sorted(vals, key=base.__rmod__)  # stable: ascending in each class
     decomposed: list[tuple[int, tuple[int, ...]]] = []
-    for cls in classes.values():
+    for i in range(0, base, size):
+        cls = by_class[i : i + size]
         a = cls[0]
+        if cls[-1] % base != a % base:
+            return None  # classes of unequal sizes
         if any((v - a) % modulus != 0 for v in cls):
-            return None
-        if size is None:
-            size = len(cls)
-        elif len(cls) != size:
             return None
         decomposed.append((a, tuple((v - a) // modulus for v in cls)))
     decomposed.sort()

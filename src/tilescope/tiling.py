@@ -6,8 +6,10 @@ reachability question: track the running carry of a pair of digit strings
 with equal value.  Carries are bounded by ``span // (base - 1)``, so the
 walk space is a finite automaton and the decision is exact for all levels
 at once, with a two-string certificate when it fails.  The automaton is
-explored on demand from carry 0, so its cost tracks the carries reached,
-not the span; the eager search over every carry is kept as
+explored on demand by two breadth-first searches, forward from carry 0
+and backward into it, that each go about half the witness level deep and
+stop where they meet; their cost tracks the carries within that distance,
+not the span.  The eager search over every carry is kept as
 ``collision_oracle``.
 
 The module also builds the decreasing chain of periodic sets obtained by
@@ -17,6 +19,7 @@ and turns the stable entry into a verified self-replicating tiling set.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,8 +38,9 @@ from .core import (
 # adversarial inputs.
 MAX_CHAIN_RESIDUES = 1 << 22
 # Carry automata span 2*bound + 1 states.  The cap admits base 3
-# {0, 1, 1000002}, 1000003 states; its search visits 86622 forward states
-# and the whole process peaks at 41 MB resident (CPython 3.11, x86-64).
+# {0, 1, 2000004}, 2000005 states; its two searches discover 980 forward
+# and 729 backward carries in about 1 ms, and the process peaks at 16 MB
+# resident, as much as importing tilescope takes (CPython 3.11, x86-64).
 MAX_AUTOMATON_STATES = 1 << 21
 
 
@@ -82,30 +86,46 @@ class CarryAutomaton:
     nontrivial edge.
 
     No table is built: carry c takes its edges from the digit pairs with
-    x - y = -c (mod b), and only carries reached from 0 are visited.  A
-    standard digit set reaches carry 0 alone.
+    x - y = -c (mod b), and its predecessors p = b*c - (x - y) from the
+    differences within ``bound`` of b*c.  Trivial edges map carry 0 to 0,
+    so only carry 0 is ever in the "no nontrivial edge yet" state, and
+    after the first nontrivial step a state is a plain int carry.  Let
+    f(c) be the length of the shortest walk from 0 to c starting with a
+    nontrivial step, g(c) that of the shortest walk from c to 0, and
+    L = f(0), the witness level.
+
+    The search is bidirectional and layered: forward layers
+    F_i = {f == i} from F_1 (the nonzero differences divisible by b, over
+    b), backward layers B_j = {g == j} from B_0 = {0}, one layer per round
+    on the side whose next layer is cheaper.  A walk to c followed by one
+    back to 0 is a closed walk through a nontrivial edge, so
+    f(c) + g(c) >= L for every c.  On a shortest closed walk
+    0, c_1, ..., c_L = 0, each c_i has f <= i and g <= L - i, hence f = i
+    and g = L - i.  So while rf + rb < L (rf, rb the depths searched) no
+    carry has f <= rf and g <= rb, and both frontiers hold a carry of the
+    walk, c_rf and c_(L-rb); at rf + rb = L, c_rf lies in F_rf and B_rb,
+    and every carry in both has f = rf and g = rb.  The
+    first meeting therefore gives L = rf + rb and the meeting carries
+    F_rf & B_rb; a frontier that empties before any meeting means a tile.
 
     :meth:`find_collision` returns the witness of the eager search kept in
-    :func:`collision_oracle`, for these reasons.  The forward breadth-first
-    search over (carry, used-nontrivial) visits states in the eager order
-    and stops when (0, True) is discovered, at depth L; layers below L are
-    complete.  A walk (0, False) -> (c, True) followed by a walk c -> 0 is a
-    walk to (0, True), so ``dist_f(c, True) + dist_b(c) >= L``, with
-    equality at c = 0: L is the least total, the witness level, and the
-    eager tie-break picks the least c with ``dist_f(c, True) + dist_b(c) ==
-    L``.  Each such c lies in ``T = {c : fd(c) + dist_b(c) <= L}``, fd being
-    the forward depth of c under either flag.  T is closed under the
-    backward search's choices: if c is in T, every carry u that competes to
-    discover c (an edge c -> u with ``dist_b(u) == dist_b(c) - 1``) has
-    ``fd(u) <= fd(c) + 1`` and so is in T, and so is the chosen one.  Every
-    c in T other than 0 has ``dist_b(c) >= 1``, hence ``fd(c) <= L - 1``
-    (discovered before the stop) and ``dist_b(c) <= L - 1`` (as
-    ``fd(c) >= 1``).  By induction on the depth, a backward search from
-    0 entering only discovered carries and stopped at depth L - 1 reaches
-    each carry of T at its full distance, from the same successor through
-    the same digit pair, in the same relative order.  A carry outside T
-    totals more than L at any distance the restricted search gives it, so
-    it is never picked.
+    :func:`collision_oracle`: the least c with f(c) + g(c) == L, reached
+    by the forward path of first discovery (over (carry, used-nontrivial)
+    states, digit pairs in digit order) and left by the backward path of
+    first discovery (predecessors in order of p, then digit order).  The
+    candidates form S = {c : f(c) + g(c) == L}, the carries on some
+    shortest closed walk, with S_i = S & F_i.  S_rf is the meeting set; a
+    p in F_i is in S_i iff it has an edge into S_(i+1), and a u in B_(L-i)
+    is in S_i iff it has an edge from S_(i-1), by the same sum argument.
+    S is closed under both searches' choices.  A carry p competing to
+    discover c in S_i forward (p in F_(i-1), an edge p -> c) has
+    g(p) <= g(c) + 1, so p is in S; a carry u competing to discover c
+    backward (u in B_(g(c)-1), an edge c -> u) has f(u) <= f(c) + 1, so u
+    is in S.  By induction on the layer, a search restricted to S reaches
+    each carry of S at its full depth, from the same parent through the
+    same digit pair, in the same relative order, so the two searches
+    restricted to S reproduce the eager predecessors and backward steps on
+    every candidate, and with them the witness.
     """
 
     def __init__(self, d: DigitSet):
@@ -120,79 +140,150 @@ class CarryAutomaton:
             for y in d.digits:
                 first.setdefault(x - y, (x, y))
         self._first = first
+        self._deltas = sorted(first)
         # pairs[r]: those pairs with x - y = r (mod b), in digit order
         self._pairs: list[list[tuple[int, int]]] = [[] for _ in range(d.base)]
         for delta, pair in first.items():
             self._pairs[delta % d.base].append(pair)
 
-    def _forward(self) -> tuple[int, dict, dict] | None:
-        """Breadth-first search from (0, False) until (0, True) is discovered.
+    def _window(self, c: int) -> range:
+        """Indices in ``_deltas`` of the delta with |b*c - delta| <= bound."""
+        bc, deltas = self.base * c, self._deltas
+        return range(
+            bisect_left(deltas, bc - self.bound), bisect_right(deltas, bc + self.bound)
+        )
 
-        Returns None when it never is (a tile), else ``(L, pred, depth)``:
-        L is the depth of (0, True), and ``pred``/``depth`` hold each
-        discovered (carry, used-nontrivial) state's first discovery and
-        depth.  Layers below L are complete.
+    def _meet(self) -> tuple[list[set[int]], list[set[int]], set[int]] | None:
+        """Expand the forward and backward layers until they meet.
+
+        Returns None for a tile, else ``(forward, backward, meet)``:
+        ``forward[i]`` is F_i (``forward[0]`` is {0}, the start before any
+        nontrivial step), ``backward[j]`` is B_j, and ``meet`` is
+        F_rf & B_rb for the last layers of each, so L = rf + rb.
         """
-        base, pairs = self.base, self._pairs
-        start = (0, False)
-        pred: dict[tuple[int, bool], tuple[tuple[int, bool], int, int] | None]
-        pred = {start: None}
-        depth = {start: 0}
-        layer = [start]
-        level = 0
-        while layer:
-            level += 1
-            next_layer = []
-            for state in layer:
-                c, used = state
-                for x, y in pairs[-c % base]:
-                    new = ((c + x - y) // base, used or x != y)
-                    if new not in pred:
-                        pred[new] = (state, x, y)
-                        depth[new] = level
-                        if new == (0, True):
-                            return level, pred, depth
-                        next_layer.append(new)
-            layer = next_layer
+        base, pairs, deltas = self.base, self._pairs, self._deltas
+        f = {(x - y) // base for x, y in pairs[0] if x != y}
+        b = {0}
+        forward, backward = [{0}, f], [b]
+        f_seen, b_seen = set(f), {0}
+        while f and b:
+            # cost of the next layer: frontier size times edges per carry,
+            # about #deltas / b forward and #deltas / (b - 1) backward
+            if len(f) * (base - 1) <= len(b) * base:
+                layer = set()
+                for c in f:
+                    for x, y in pairs[-c % base]:
+                        layer.add((c + x - y) // base)
+                f = layer - f_seen
+                f_seen |= f
+                forward.append(f)
+            else:
+                layer = set()
+                for c in b:
+                    bc = base * c
+                    for k in self._window(c):
+                        layer.add(bc - deltas[k])
+                b = layer - b_seen
+                b_seen |= b
+                backward.append(b)
+            meet = f & b
+            if meet:
+                return forward, backward, meet
         return None
-
-    def _backward(
-        self, level: int, carries: set[int]
-    ) -> tuple[dict[int, int], dict[int, tuple[int, int, int]]]:
-        """Breadth-first search from carry 0 along reversed edges, to depth
-        ``level - 1``, entering only ``carries``.
-
-        The predecessors of c are p = b*c - x + y, taken in order of p and
-        then digit order, as in the eager reverse table.  Forward-discovered
-        carries lie within the bound, so ``carries`` also enforces it.
-        """
-        # p = b*c - (x - y) increases as x - y decreases
-        steps = [(delta, x, y) for delta, (x, y) in sorted(self._first.items())[::-1]]
-        dist_b = {0: 0}
-        step_b: dict[int, tuple[int, int, int]] = {}
-        layer = [0]
-        for k in range(1, level):
-            next_layer = []
-            for c in layer:
-                bc = self.base * c
-                for delta, x, y in steps:
-                    p = bc - delta
-                    if p in carries and p not in dist_b:
-                        dist_b[p] = k
-                        step_b[p] = (x, y, c)
-                        next_layer.append(p)
-            layer = next_layer
-        return dist_b, step_b
 
     def find_collision(self) -> TileWitness | None:
         """Shortest closed walk 0 -> 0 through a nontrivial edge, if any."""
-        found = self._forward()
-        if found is None:
+        met = self._meet()
+        if met is None:
             return None
-        level, pred, depth = found
-        dist_b, step_b = self._backward(level, {c for c, _ in pred})
-        best = min(c for c, k in dist_b.items() if depth.get((c, True)) == level - k)
-        return _witness(self.base, best, pred, step_b)
+        forward, backward, meet = met
+        candidates = self._candidates(forward, backward, meet)
+        pred = self._forward_within(candidates)
+        step_b = self._backward_within(candidates)
+        return _witness(self.base, min(candidates), pred, step_b)
+
+    def _candidates(
+        self, forward: list[set[int]], backward: list[set[int]], meet: set[int]
+    ) -> set[int]:
+        """S, the carries c with f(c) + g(c) == L, from the meeting carries."""
+        base, pairs, deltas = self.base, self._pairs, self._deltas
+        rf, level = len(forward) - 1, len(forward) + len(backward) - 2
+        found = set(meet)
+        layer = meet
+        for i in range(rf - 1, 0, -1):
+            # predecessors in F_i of the carries of S_(i+1)
+            layer = {
+                p
+                for c in layer
+                for p in (base * c - deltas[k] for k in self._window(c))
+                if p in forward[i]
+            }
+            found |= layer
+        layer = meet
+        for i in range(rf + 1, level + 1):
+            # successors in B_(L-i) of the carries of S_(i-1)
+            layer = {
+                u
+                for c in layer
+                for u in ((c + x - y) // base for x, y in pairs[-c % base])
+                if u in backward[level - i]
+            }
+            found |= layer
+        return found
+
+    def _forward_within(self, carries: set[int]) -> dict:
+        """Forward search from (0, False) entering only ``carries``.
+
+        Returns the first discovery of each, keyed by (carry, True) with
+        (0, False) as the root, as in :func:`collision_oracle`.
+        """
+        base, pairs = self.base, self._pairs
+        left = set(carries)
+        root = (0, False)
+        pred: dict = {root: None}
+        layer = []
+        for x, y in pairs[0]:
+            c = (x - y) // base
+            if x != y and c in left:
+                left.remove(c)
+                pred[(c, True)] = (root, x, y)
+                layer.append(c)
+        while layer:
+            next_layer = []
+            for c in layer:
+                for x, y in pairs[-c % base]:
+                    n = (c + x - y) // base
+                    if n in left:
+                        left.remove(n)
+                        pred[(n, True)] = ((c, True), x, y)
+                        next_layer.append(n)
+            layer = next_layer
+        return pred
+
+    def _backward_within(self, carries: set[int]) -> dict[int, tuple[int, int, int]]:
+        """Backward search from carry 0 entering only ``carries``.
+
+        The predecessors of c are p = b*c - (x - y), taken in order of p,
+        as in the eager reverse table; returns each one's first step.
+        """
+        deltas = self._deltas
+        pairs = [self._first[delta] for delta in deltas]
+        left = carries - {0}
+        step_b: dict[int, tuple[int, int, int]] = {}
+        layer = [0]
+        while layer:
+            next_layer = []
+            for c in layer:
+                bc = self.base * c
+                # p = b*c - delta increases as delta decreases
+                for k in reversed(self._window(c)):
+                    p = bc - deltas[k]
+                    if p in left:
+                        left.remove(p)
+                        step_b[p] = (*pairs[k], c)
+                        next_layer.append(p)
+            layer = next_layer
+        return step_b
 
 
 def _carry_bound(d: DigitSet) -> int:
@@ -241,10 +332,11 @@ def is_tile(d: DigitSet) -> tuple[bool, TileWitness | None]:
 def collision_level(d: DigitSet) -> int | None:
     """The first colliding expansion level, or None for a tile.
 
-    The level of :func:`is_tile`'s witness, from the forward search alone.
+    The level of :func:`is_tile`'s witness, from where the two searches
+    meet, without rebuilding the witness.
     """
-    found = CarryAutomaton(d)._forward()
-    return None if found is None else found[0]
+    met = CarryAutomaton(d)._meet()
+    return None if met is None else len(met[0]) + len(met[1]) - 2
 
 
 def collision_oracle(d: DigitSet) -> TileWitness | None:

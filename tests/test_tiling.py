@@ -23,6 +23,7 @@ from tilescope import (
     verify_self_replicating,
 )
 from tilescope.cli import enumerate_normalized
+from tilescope.tiling import MAX_AUTOMATON_STATES
 
 TWELVE = (0, 1, 4, 8, 9, 17, 25, 33, 41, 72, 76, 80)
 
@@ -112,6 +113,57 @@ def full_backward(d: DigitSet) -> tuple[dict, dict]:
     return dist, step
 
 
+def full_forward(d: DigitSet) -> tuple[dict, dict]:
+    """Forward search over (carry, used-nontrivial) from (0, False), to completion.
+
+    The edges of carry c are the pairs (x, y) with b | c + x - y, taken in
+    digit order.  Returns each state's first discovery and its depth.
+    """
+    start = (0, False)
+    pred, depth, layer, k = {start: None}, {start: 0}, [start], 0
+    while layer:
+        k += 1
+        next_layer = []
+        for state in layer:
+            c, used = state
+            for x in d.digits:
+                for y in d.digits:
+                    if (c + x - y) % d.base == 0:
+                        new = ((c + x - y) // d.base, used or x != y)
+                        if new not in pred:
+                            pred[new], depth[new] = (state, x, y), k
+                            next_layer.append(new)
+        layer = next_layer
+    return pred, depth
+
+
+def wide_digit_sets():
+    """Digit sets in bases 2-6 with spans 10^3-10^5, half with a shared residue."""
+    return st.tuples(
+        st.integers(2, 6), st.integers(1_000, 100_000), st.randoms(use_true_random=False)
+    ).map(lambda t: _wide_set(*t))
+
+
+def _wide_set(base, span, rng):
+    digits = {0, span}
+    if base > 2 and rng.random() < 0.5:  # a digit congruent to the span collides
+        digits.add(span % base + base * rng.randrange(span // base))
+    while len(digits) < base:
+        digits.add(rng.randrange(span))
+    return DigitSet(base, tuple(digits))
+
+
+# the non-tiles of passes 0-1 of the analyze-wide benchmark under seed 21
+WIDE_NON_TILES = [
+    (0, 2291, 10_001),
+    (0, 11_251, 20_002),
+    (0, 44_029, 60_001),
+    (0, 12_085, 20_002),
+    (0, 17_014, 60_001),
+    (0, 4_478, 10_001),
+]
+
+
 class TestOnDemandAutomaton:
     def check_against_oracle(self, d):
         w = collision_oracle(d)
@@ -131,26 +183,36 @@ class TestOnDemandAutomaton:
     @settings(max_examples=200, deadline=None)
     @given(signed_digit_sets(max_base=7, reach=25))
     def test_restricted_backward_search(self, d):
-        # Carries with fd + dist_b <= L, fd the forward depth under either
-        # flag, hold every witness candidate and its competitors; there the
-        # restricted backward search must agree with the full one.
+        # S, the carries with f + g == L, holds every witness candidate and
+        # its competitors in both searches; there the searches restricted to
+        # S must agree with the full ones, and the layers that met must be
+        # the full searches' layers.
         automaton = CarryAutomaton(d)
-        found = automaton._forward()
-        if found is None:
-            return
-        level, pred, depth = found
-        dist, step = automaton._backward(level, {c for c, _ in pred})
+        met = automaton._meet()
+        full_pred, full_depth = full_forward(d)
         full_dist, full_step = full_backward(d)
-        fd: dict[int, int] = {}
-        for (c, _), k in depth.items():
-            fd[c] = min(fd.get(c, k), k)
-        assert max(dist.values()) <= level - 1
-        for c in fd:
-            if c in full_dist and fd[c] + full_dist[c] <= level:
-                assert dist[c] == full_dist[c], c
-                assert step.get(c) == full_step.get(c), c
-        for c, k in dist.items():
-            assert k >= full_dist[c]
+        if met is None:
+            assert (0, True) not in full_depth
+            return
+        forward, backward, meet = met
+        level = len(forward) + len(backward) - 2
+        assert full_depth[(0, True)] == level
+        for i, layer in enumerate(forward[1:], 1):
+            assert layer == {c for (c, used), k in full_depth.items() if used and k == i}
+        for j, layer in enumerate(backward):
+            assert layer == {c for c, k in full_dist.items() if k == j}
+        s = automaton._candidates(forward, backward, meet)
+        assert s == {
+            c
+            for (c, used), k in full_depth.items()
+            if used and c in full_dist and k + full_dist[c] == level
+        }
+        pred = automaton._forward_within(s)
+        step = automaton._backward_within(s)
+        assert len(pred) == len(s) + 1 and len(step) == len(s) - 1
+        for c in s:
+            assert pred[(c, True)] == full_pred[(c, True)], c
+            assert step.get(c) == full_step.get(c), c
 
     def test_wide_three_digit_set(self):
         d = DigitSet(3, (0, 1, 1_000_002))
@@ -164,6 +226,38 @@ class TestOnDemandAutomaton:
         for fn in (is_tile, collision_level, collision_oracle):
             with pytest.raises(ValueError, match="carry automaton needs"):
                 fn(d)
+
+    @settings(max_examples=8, deadline=None)
+    @given(wide_digit_sets())
+    def test_wide_span_matches_oracle(self, d):
+        # at spans of 10^3-10^5 the two searches meet far from either end
+        self.check_against_oracle(d)
+
+    @pytest.mark.parametrize("digits", WIDE_NON_TILES)
+    def test_wide_non_tiles_match_oracle(self, digits):
+        self.check_against_oracle(DigitSet(3, digits))
+
+    def test_near_the_state_cap(self):
+        d = DigitSet(3, (0, 1, 2_000_004))
+        assert len(CarryAutomaton(d).states) == 2_000_005 < MAX_AUTOMATON_STATES
+        tile, witness = is_tile(d)
+        assert not tile and witness.is_valid_for(d)
+        assert witness.level == collision_level(d) == 14
+
+    def test_over_the_cap_before_any_search(self, monkeypatch):
+        def no_search(self):
+            raise AssertionError("search started over the cap")
+
+        monkeypatch.setattr(CarryAutomaton, "_meet", no_search)
+        d = DigitSet(2, (0, 2_097_151))
+        for fn in (is_tile, collision_level):
+            with pytest.raises(ValueError, match="carry automaton needs 4194303 states"):
+                fn(d)
+
+    def test_search_size_tracks_the_walk(self):
+        # 1 000 003 states, of which the two searches discover under 5 000
+        forward, backward, _ = CarryAutomaton(DigitSet(3, (0, 1, 1_000_002)))._meet()
+        assert sum(map(len, forward)) + sum(map(len, backward)) < 5_000
 
 
 class TestIsTileOracle:
