@@ -20,7 +20,8 @@ Phi_{p**k}(1) = p, only primes dividing #A can enter it.  (T1) equates
 divisibility at products of coprime support entries, and together they
 yield the spectrum ``{sum of k_s / s}`` in the cyclic group of order
 lcm(support).  Each support decides (T2) in both readings and builds its
-spectrum once, from integers over lcm(support), and caches both on itself.
+spectrum once, from integers over lcm(support), and caches both on itself;
+the spectrum keeps those integers as its numerators.
 """
 
 from __future__ import annotations
@@ -334,8 +335,7 @@ class PrimePowerSupport:
         # the sums as integers over n = lcm(support): k_s / s = k_s * (n/s) / n
         n = self.lcm
         terms = [[k * (n // s) for k in range(prime_power_root(s))] for s in self.entries]
-        numerators = sorted({sum(ks) % n for ks in product(*terms)})
-        spectrum = RationalSpectrum(tuple(Fraction(v, n) for v in numerators), n)
+        spectrum = RationalSpectrum(tuple({sum(ks) % n for ks in product(*terms)}), n)
         assert len(spectrum) == len(self.values)
         return spectrum
 
@@ -373,24 +373,29 @@ def check_t2(a: Iterable[int], strict: bool = False) -> bool:
 
 @dataclass(frozen=True)
 class RationalSpectrum:
-    """A finite set of rationals in [0, 1) with a common denominator."""
+    """A finite set of rationals in [0, 1) with a common denominator.
 
-    elements: tuple[Fraction, ...]
+    Stored as the integer numerators over ``denominator``; ``elements``,
+    iteration and ``len`` read them as fractions.
+    """
+
+    numerators: tuple[int, ...]
     denominator: int
 
     def __post_init__(self):
-        elems = tuple(sorted(set(self.elements)))
-        if len(elems) != len(self.elements):
+        nums = tuple(sorted(set(self.numerators)))
+        if len(nums) != len(self.numerators):
             raise ValueError("spectrum elements must be distinct")
-        for e in elems:
-            if not 0 <= e < 1:
-                raise ValueError(f"element {e} outside [0, 1)")
-            if self.denominator % e.denominator != 0:
-                raise ValueError(f"{e} does not divide denominator {self.denominator}")
-        object.__setattr__(self, "elements", elems)
+        if nums and not (0 <= nums[0] and nums[-1] < self.denominator):
+            raise ValueError(f"numerators outside [0, {self.denominator})")
+        object.__setattr__(self, "numerators", nums)
+
+    @property
+    def elements(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(v, self.denominator) for v in self.numerators)
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.numerators)
 
     def __iter__(self):
         return iter(self.elements)
@@ -398,11 +403,11 @@ class RationalSpectrum:
     def scaled(self, factor: int) -> tuple[int, ...]:
         """The elements multiplied by an integer factor, when all are integers."""
         out = []
-        for e in self.elements:
-            v = e * factor
-            if v.denominator != 1:
-                raise ValueError(f"{e} * {factor} is not an integer")
-            out.append(int(v))
+        for v in self.numerators:
+            q, r = divmod(v * factor, self.denominator)
+            if r:
+                raise ValueError(f"{Fraction(v, self.denominator)} * {factor} is not an integer")
+            out.append(q)
         return tuple(sorted(out))
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from .core import normalize
+from .core import _check_level, normalize
 from .cyclotomic import PrimePowerSupport, support
 from .geometry import measure_report
 from .skewform import SkewDecomposition, least_stage, verify_decomposition
@@ -107,6 +107,7 @@ def analyze_digit_set(
         k_max = default_k_max(base)
     elif k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
+    _check_level(base, k_max)
     report: dict[str, Any] = {
         "command": "analyze",
         "input": {"base": base, "digits": sorted(digits)},

@@ -4,9 +4,10 @@
 ``exp(2*pi*i*a*l/N) / sqrt(#A)`` indexed by A x L is unitary, i.e. #A ==
 #L and every distinct pair of columns is orthogonal.  Columns l and l' are
 orthogonal exactly when Phi_s divides the mask of A, for the order
-s = N / gcd(l' - l, N), so each distinct order is decided once, exactly;
-the floating-point unitarity residual exists only as a cross-check, never
-as the decision procedure.
+s = N / gcd(l' - l, N).  So each spectrum's orders are scanned once, and
+the triple is decided from that order set with one exact divisibility test
+per distinct order; the floating-point unitarity residual exists only as a
+cross-check, never as the decision procedure.
 
 From a verified 1-stage decomposition this module assembles the two
 scaled spectra L1 (from the representatives) and L2 (from the blocks),
@@ -19,7 +20,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .core import residues_mod
@@ -47,24 +47,18 @@ def is_hadamard(n: int, a: Iterable[int], ell: Iterable[int]) -> bool:
     """Exact Hadamard-triple test for (n, A, L); L not distinct mod n fails."""
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    sa, sl = sorted(set(a)), sorted(set(ell))
-    if len(sa) != len(sl):
-        return False
-    orders = {n // math.gcd(cc - c, n) for i, c in enumerate(sl) for cc in sl[i + 1:]}
-    return 1 not in orders and all(divides(s, sa) for s in sorted(orders))
+    sl = sorted(set(ell))
+    return _decide(set(a), len(sl), _orders(n, sl))
 
 
-@dataclass(frozen=True)
-class HadamardTriple:
-    n: int
-    a: tuple[int, ...]
-    ell: tuple[int, ...]
-    verified: bool
+def _orders(n: int, ell: Sequence[int]) -> set[int]:
+    """The orders n / gcd(l' - l, n) over the pairs of the distinct points L."""
+    return {n // math.gcd(cc - c, n) for i, c in enumerate(ell) for cc in ell[i + 1:]}
 
-    @classmethod
-    def make(cls, n: int, a: Iterable[int], ell: Iterable[int]) -> "HadamardTriple":
-        sa, sl = tuple(sorted(set(a))), tuple(sorted(set(ell)))
-        return cls(n, sa, sl, is_hadamard(n, sa, sl))
+
+def _decide(a: set[int], size: int, orders: set[int]) -> bool:
+    """The verdict for (n, A, L) from #L and the orders of L's pairs."""
+    return len(a) == size and 1 not in orders and all(divides(s, a) for s in sorted(orders))
 
 
 def unitarity_residual(n: int, a: Sequence[int], ell: Sequence[int]) -> float:
@@ -125,6 +119,9 @@ def build_spectral_data(dec: SkewDecomposition) -> AnLaiReport:
     Requires a 1-stage decomposition (lift first otherwise).  Every part
     must satisfy (T1) and (T2) and all blocks must share one support;
     violations raise :class:`SpectralConditionError` with per-part flags.
+    The blocks share L2 and L1 + L2, so each of the three spectra L1, L2
+    and L1 + L2 has its pair orders scanned once, and every distinct
+    block's part and joint triples are decided from those order sets.
     """
     if dec.stage != 1:
         raise ValueError("spectral data needs a 1-stage decomposition; lift first")
@@ -146,9 +143,11 @@ def build_spectral_data(dec: SkewDecomposition) -> AnLaiReport:
     l1 = supp_a.spectrum().scaled(n)
     l2 = supp_b.spectrum().scaled(n)
     sums = _sumset(l1, l2)
-    blocks = dict.fromkeys(dec.Bs)  # equal blocks give equal triples: check each once
-    part_ok = {b: is_hadamard(n, b, l2) for b in blocks}
-    joint_ok = {b: is_hadamard(n, [x + u for x in dec.A for u in b], sums) for b in blocks}
+    orders_b, orders_joint = _orders(n, l2), _orders(n, sums)
+    part_ok, joint_ok = {}, {}
+    for b in dict.fromkeys(dec.Bs):
+        part_ok[b] = _decide(set(b), len(l2), orders_b)
+        joint_ok[b] = _decide({x + u for x in dec.A for u in b}, len(sums), orders_joint)
     counting = len(sums) == n and residues_mod(sums, n) == tuple(range(n))
     return AnLaiReport(
         modulus=n,
@@ -193,11 +192,10 @@ def truncated_spectrum(
     modulus = base**levels
     expanded = _iterated_sumset(vals, base, levels)
     points = _iterated_sumset(cs, base, levels)
-    elements = tuple(sorted({Fraction(p, modulus) % 1 for p in points}))
-    spectrum = RationalSpectrum(elements, modulus)
+    spectrum = RationalSpectrum(tuple({p % modulus for p in points}), modulus)
     # C injects mod base, so its level sums stay distinct mod base**levels
     assert len(spectrum) == len(cs) ** levels
-    if not is_hadamard(modulus, expanded, [int(e * modulus) for e in spectrum]):
+    if not is_hadamard(modulus, expanded, spectrum.numerators):
         raise RuntimeError("level expansion of a Hadamard triple lost orthogonality")
     return spectrum
 

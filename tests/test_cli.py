@@ -367,6 +367,7 @@ class TestRender:
         [
             ("render", "-b", "3", "-d", "0,1,2", "-k", "40"),
             ("analyze", "-b", "3", "-d", "0,1,2", "--kmax", "40"),
+            ("analyze", "-b", "3", "-d", "0,1,3", "--kmax", "40"),
         ],
     )
     def test_level_cap_checked_before_work(self, capsys, argv):

@@ -4,11 +4,10 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tilescope import (
-    HadamardTriple,
     SkewDecomposition,
     SpectralConditionError,
     build_spectral_data,
@@ -153,10 +152,6 @@ class TestIsHadamard:
         else:
             assert residual > 1e-2
 
-    def test_make_records_verdict(self):
-        assert HadamardTriple.make(4, [0, 1], [0, 2]).verified
-        assert not HadamardTriple.make(4, [0, 2], [0, 2]).verified
-
     def test_residue_collapse(self):
         # collapsing mod n is harmless while the set stays distinct mod n
         assert is_hadamard(4, [0, 5], [0, 2])
@@ -166,7 +161,76 @@ class TestIsHadamard:
         assert not is_hadamard(4, [0], [0, 2])
 
 
+@st.composite
+def weak_decompositions(draw):
+    """least_stage decompositions of weak product forms, stages 1-4, modulus <= 256."""
+    a, b, _ = draw(st.sampled_from(WEAK_FACTORS))
+    size = len(a) * len(b)
+    top = max(m for m in range(1, 5) if size**m <= 256)
+    pairs = st.tuples(st.sampled_from(a), st.sampled_from(b))
+    offsets = draw(st.dictionaries(pairs, st.integers(-2, 2), max_size=3))
+    d = gen_weak_product_form(a, b, draw(st.integers(1, top)), offsets)
+    return least_stage(d, top)[1]
+
+
+@st.composite
+def hand_built_decompositions(draw):
+    """Stage-1 decompositions whose parts pass (T1)/(T2) with one block
+    support, although A + B_j need not be complete: verdicts can be false.
+
+    {t, t + k, ..., t + (p - 1)k} for a prime p has the one support entry
+    p**(v + 1), v the p-adic valuation of k, so blocks whose steps share
+    that valuation share their support.
+    """
+    p, q = draw(st.sampled_from([(2, 2), (2, 3), (3, 2), (3, 3)]))
+    t = st.integers(-6, 6)
+
+    def progression(size, step):
+        start = draw(t)
+        return tuple(start + i * step for i in range(size))
+
+    k = draw(st.integers(1, 12))
+    step = draw(st.integers(1, 12))
+    units = st.integers(1, 5).filter(lambda u: u % q)
+    a = progression(p, k)
+    bs = tuple(progression(q, step * draw(units)) for _ in range(p))
+
+    def entry(prime, v):
+        return prime if v % prime else prime * entry(prime, v // prime)
+
+    n = math.lcm(entry(p, k), entry(q, step)) * draw(st.sampled_from([1, 2, 3]))
+    return SkewDecomposition(n, 1, a, bs)
+
+
 class TestBuildSpectralData:
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(weak_decompositions(), hand_built_decompositions()))
+    @example(SkewDecomposition(4, 1, (0, 1), ((0, 1), (0, 3))))  # joint triples fail
+    def test_verdicts_match_per_triple_test(self, dec):
+        try:
+            rep = build_spectral_data(dec)
+        except SpectralConditionError:
+            assume(False)
+        n, sums = rep.modulus, [x + y for x in rep.l1 for y in rep.l2]
+        assert rep.hadamard_a == is_hadamard(n, dec.A, rep.l1)
+        assert rep.hadamard_b == tuple(is_hadamard(n, b, rep.l2) for b in dec.Bs)
+        assert rep.hadamard_joint == tuple(
+            is_hadamard(n, [x + u for x in dec.A for u in b], sums) for b in dec.Bs
+        )
+
+    def test_three_pair_scans_whatever_the_blocks(self, monkeypatch):
+        from tilescope import spectral
+
+        d = gen_weak_product_form([0, 1], [0, 2], 4, {(1, 2): 1})
+        _, dec = least_stage(d, 4)
+        assert len(set(dec.Bs)) == 16
+        scanned, orders = [], spectral._orders
+        monkeypatch.setattr(
+            spectral, "_orders", lambda n, ell: scanned.append(len(ell)) or orders(n, ell)
+        )
+        assert build_spectral_data(dec).all_ok
+        assert sorted(scanned) == [16, 16, 256]
+
     def test_product_form(self):
         rep = build_spectral_data(skew_decompose({0, 1, 8, 9}, 4, 1))
         assert rep.support_a == (2,) and rep.support_b == (4,)
