@@ -33,7 +33,7 @@ import sys
 from itertools import combinations
 from typing import Any, TextIO
 
-from .core import DigitSet
+from .core import DigitSet, _check_level
 from .geometry import covers, intervals_json_text, tower_svg
 from .report import (
     EXIT_OK,
@@ -210,16 +210,18 @@ def _cmd_render(args: argparse.Namespace, out: TextIO) -> int:
             f"width must be > 80 and height > {80 + 4 * args.k} for {args.k} levels, "
             f"got {args.width}x{args.height}"
         )
-    unions = covers(d, args.k)
-    if args.format == "svg":
-        payload = tower_svg(d, unions, width=args.width, height=args.height)
-    else:
-        payload = intervals_json_text(d, unions)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(payload)
-    else:
-        out.write(payload)
+    # cap, then --out, then covers: a failed check neither truncates --out nor costs work
+    _check_level(d.base, args.k)
+    sink = open(args.out, "w") if args.out else out
+    try:
+        unions = covers(d, args.k)
+        if args.format == "svg":
+            sink.write(tower_svg(d, unions, width=args.width, height=args.height))
+        else:
+            sink.write(intervals_json_text(d, unions))
+    finally:
+        if args.out:
+            sink.close()
     return EXIT_OK
 
 

@@ -74,6 +74,15 @@ class SkewDecomposition:
         return tuple(sorted(v for block in self.blocks() for v in block))
 
     @cached_property
+    def complete(self) -> bool:
+        """Whether each A + B_j, with multiplicity, hits every residue mod base once."""
+        mask = residue_mask(self.A, self.base)
+        return all(
+            translates_cover_exactly(mask, self.s, b, self.base)
+            for b in dict.fromkeys(self.Bs)
+        )
+
+    @cached_property
     def supports(self) -> dict[tuple[int, ...], PrimePowerSupport]:
         """The support of A and of each distinct B_j, keyed by the part; built once."""
         return {part: support(part) for part in dict.fromkeys((self.A, *self.Bs))}
@@ -86,9 +95,8 @@ def skew_decompose(
 
     Splits the values into residue classes mod ``base``; each class must
     be constant mod ``base**stage``, the class sizes must all be equal,
-    and ``A + B_j`` must be a complete residue system mod ``base`` for
-    every class.  Representatives are the class minima.  Returns None
-    when any condition fails.
+    and the result must be :attr:`~SkewDecomposition.complete`.
+    Representatives are the class minima.  Returns None otherwise.
     """
     vals = tuple(values)
     if any(map(ge, vals, vals[1:])):  # not ascending: sort and de-duplicate
@@ -113,12 +121,8 @@ def skew_decompose(
         decomposed.append((a, tuple((v - a) // modulus for v in cls)))
     decomposed.sort()
     reps = tuple(a for a, _ in decomposed)
-    # one A-mask shared across all class checks; classes can be numerous
-    mask = residue_mask(reps, base)
-    for _, b in decomposed:
-        if not translates_cover_exactly(mask, len(reps), b, base):
-            return None
-    return SkewDecomposition(base, stage, reps, tuple(b for _, b in decomposed))
+    dec = SkewDecomposition(base, stage, reps, tuple(b for _, b in decomposed))
+    return dec if dec.complete else None
 
 
 def least_stage(
@@ -181,14 +185,7 @@ def verify_decomposition(dec: SkewDecomposition, values: Iterable[int]) -> bool:
     union = [v for block in blocks for v in block]
     if len(set(union)) != len(union) or sorted(union) != vals:
         return False
-    if len({a % dec.base for a in dec.A}) != dec.s:
-        return False
-    for b in dec.Bs:
-        if dec.s * len(b) != dec.base:
-            return False
-        if not direct_sum_complete(dec.A, b, dec.base):
-            return False
-    return True
+    return dec.complete  # which includes A injecting mod base
 
 
 def lift_stage(dec: SkewDecomposition) -> SkewDecomposition:

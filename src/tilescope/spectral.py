@@ -9,10 +9,10 @@ the triple is decided from that order set with one exact divisibility test
 per distinct order; the floating-point unitarity residual exists only as a
 cross-check, never as the decision procedure.
 
-From a verified 1-stage decomposition this module assembles the two
+From a complete 1-stage decomposition this module assembles the two
 scaled spectra L1 (from the representatives) and L2 (from the blocks),
-checks the Hadamard conditions part by part and jointly, and checks the
-counting identity #(L1 + L2) == modulus with a complete residue system.
+checks the part triples, and checks the counting identity: L1 + L2 is a
+complete residue system mod the modulus, which decides every joint triple.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .core import residues_mod
+from .core import direct_sum_complete
 from .cyclotomic import RationalSpectrum, divides
 from .skewform import SkewDecomposition
 
@@ -87,7 +87,8 @@ class AnLaiReport:
     ``lcm_a`` / ``lcm_b`` record the intermediate cyclic orders before
     rescaling.  Condition (i) covers the part triples, condition (ii) the
     joint triples per block, and the counting identity asks L1 + L2 to be
-    a complete residue system of exactly ``modulus`` sums.
+    a complete residue system of exactly ``modulus`` sums; it is also
+    every joint verdict (see :func:`build_spectral_data`).
     """
 
     modulus: int
@@ -119,9 +120,14 @@ def build_spectral_data(dec: SkewDecomposition) -> AnLaiReport:
     Requires a 1-stage decomposition (lift first otherwise).  Every part
     must satisfy (T1) and (T2) and all blocks must share one support;
     violations raise :class:`SpectralConditionError` with per-part flags.
-    The blocks share L2 and L1 + L2, so each of the three spectra L1, L2
-    and L1 + L2 has its pair orders scanned once, and every distinct
-    block's part and joint triples are decided from those order sets.
+    An incomplete decomposition then raises ``ValueError``.  L1 and the
+    shared L2 have their pair orders scanned once each.
+
+    Each joint triple (n, A + B_j, L1 + L2) holds exactly when L1 + L2 is
+    complete mod n, the counting identity: Phi_s divides the mask of the
+    complete A + B_j for every s | n, s > 1 (Laba 2002), and the pair
+    orders of L1 + L2 divide n, so only order 1 or a size mismatch can
+    fail it, that is, n = #A * #B_0 = #L1 * #L2 sums not distinct mod n.
     """
     if dec.stage != 1:
         raise ValueError("spectral data needs a 1-stage decomposition; lift first")
@@ -139,16 +145,14 @@ def build_spectral_data(dec: SkewDecomposition) -> AnLaiReport:
         raise SpectralConditionError(
             f"blocks have differing supports {sorted(set(supports_b))}", part_flags
         )
+    if not dec.complete:
+        raise ValueError(f"some A + B_j is not a complete residue system mod {n}")
     supp_a, supp_b = supports[dec.A], supports[dec.Bs[0]]
     l1 = supp_a.spectrum().scaled(n)
     l2 = supp_b.spectrum().scaled(n)
-    sums = _sumset(l1, l2)
-    orders_b, orders_joint = _orders(n, l2), _orders(n, sums)
-    part_ok, joint_ok = {}, {}
-    for b in dict.fromkeys(dec.Bs):
-        part_ok[b] = _decide(set(b), len(l2), orders_b)
-        joint_ok[b] = _decide({x + u for x in dec.A for u in b}, len(sums), orders_joint)
-    counting = len(sums) == n and residues_mod(sums, n) == tuple(range(n))
+    orders_b = _orders(n, l2)
+    part_ok = {b: _decide(set(b), len(l2), orders_b) for b in dict.fromkeys(dec.Bs)}
+    counting = direct_sum_complete(l1, l2, n)
     return AnLaiReport(
         modulus=n,
         decomposition=dec,
@@ -160,13 +164,9 @@ def build_spectral_data(dec: SkewDecomposition) -> AnLaiReport:
         l2=l2,
         hadamard_a=is_hadamard(n, dec.A, l1),
         hadamard_b=tuple(part_ok[b] for b in dec.Bs),
-        hadamard_joint=tuple(joint_ok[b] for b in dec.Bs),
+        hadamard_joint=(counting,) * len(dec.Bs),
         counting_identity=counting,
     )
-
-
-def _sumset(a: Iterable[int], b: Iterable[int]) -> tuple[int, ...]:
-    return tuple(sorted({x + y for x in a for y in b}))
 
 
 def truncated_spectrum(

@@ -137,7 +137,7 @@ class TestAnalyze:
         assert report["spectral"]["all_ok"] is True
 
     def test_stage_four_spectral_data(self, capsys):
-        # 16 joint checks over the 256 sums of L1 + L2, at modulus 4**4
+        # 16 blocks at modulus 4**4, and one counting identity over L1 + L2
         start = time.perf_counter()
         code, out, _ = run_cli(
             capsys, "analyze", "-b", "4", "-d", "0,1,512,1537", "--kmax", "2", "--json"
@@ -387,6 +387,29 @@ class TestRender:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and str(path) in err
         assert err.count("\n") == 1
+
+    def test_out_opened_before_the_covers(self, capsys, monkeypatch, tmp_path):
+        def no_work(*args):
+            raise AssertionError("the covers were built before --out was opened")
+
+        monkeypatch.setattr(cli, "covers", no_work)
+        path = tmp_path / "missing" / "tower.json"
+        code, out, err = run_cli(
+            capsys, "render", "-b", "3", "-d", "0,1,11", "-k", "15",
+            "--format", "json", "--out", str(path),
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and str(path) in err
+        assert err.count("\n") == 1
+
+    def test_capped_level_leaves_out_file_as_it_was(self, capsys, tmp_path):
+        path = tmp_path / "tower.svg"
+        path.write_text("kept")
+        code, _, err = run_cli(
+            capsys, "render", "-b", "3", "-d", "0,1,2", "-k", "40", "--out", str(path)
+        )
+        assert code == 2 and err.startswith("error: level 40 too large for base 3")
+        assert path.read_text() == "kept"
 
     @pytest.mark.parametrize("level", ["0", "-3"])
     def test_level_must_be_positive(self, capsys, level):

@@ -162,9 +162,9 @@ class TestNoDenseDivision:
     @pytest.mark.parametrize(
         "base, digits",
         [
-            # (T2) and the joint checks reach composite orders 6 and 12
+            # (T2) and the part triples reach the composite order 6
             ("12", "0,1,4,8,9,17,25,33,41,72,76,80"),
-            # stage 4: joint checks over 256 sums at modulus 256
+            # stage 4: the part triples of 16 blocks at modulus 256
             ("4", "0,1,512,1537"),
         ],
     )

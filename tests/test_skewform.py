@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import tilescope.core
@@ -374,3 +374,107 @@ class TestStopLevel:
             assert outcomes[0] == "level 4 too large for base 3: at most 3 levels fit the work cap"
         else:
             assert outcomes[0] is None
+
+
+def brute_complete(dec: SkewDecomposition) -> bool:
+    """The definition: for each block, every (a + u) mod base is hit once."""
+    return all(
+        sorted((a + u) % dec.base for a in dec.A for u in b) == list(range(dec.base))
+        for b in dec.Bs
+    )
+
+
+@st.composite
+def perturbed_decompositions(draw) -> SkewDecomposition:
+    """Stage-1 decompositions built complete from A + B = Z_base, then
+    perturbed per distinct block: grown, shrunk, given a duplicate element
+    or a colliding one.  Blocks repeat, since each is drawn from a pool."""
+    base = draw(st.integers(2, 12))
+    s = draw(st.sampled_from([f for f in range(1, base + 1) if base % f == 0]))
+    shift = st.integers(-2, 2)
+    a = tuple(j + base * draw(shift) for j in range(s))
+    block = st.lists(shift, min_size=base // s, max_size=base // s).map(
+        lambda ts: tuple(s * k + base * t for k, t in enumerate(ts))
+    )
+
+    def perturb(b):
+        kind = draw(st.sampled_from(["keep", "grow", "shrink", "duplicate", "collide"]))
+        if kind == "grow":
+            return b + (draw(st.integers(-20, 20)),)
+        if kind == "shrink":
+            return b[:-1]
+        if kind == "duplicate":
+            return b[:-1] + (b[0],)
+        if kind == "collide":
+            return b[:-1] + (b[-1] + draw(st.integers(1, base - 1)),)
+        return b
+
+    pool = [perturb(b) for b in draw(st.lists(block, min_size=1, max_size=3))]
+    return SkewDecomposition(base, 1, a, tuple(draw(st.sampled_from(pool)) for _ in a))
+
+
+@st.composite
+def random_decompositions(draw) -> SkewDecomposition:
+    """Stage-1 decompositions of arbitrary parts: A may collide mod base."""
+    base = draw(st.integers(2, 8))
+    a = draw(st.lists(st.integers(-10, 10), min_size=1, max_size=4, unique=True))
+    blocks = st.lists(st.integers(-10, 10), max_size=4).map(tuple)
+    return SkewDecomposition(base, 1, tuple(a), tuple(draw(blocks) for _ in a))
+
+
+def decompose_by_definition(values, base: int, stage: int) -> SkewDecomposition | None:
+    """Equal residue classes mod base, each constant mod base**stage, with
+    class minima as A, and every A + B_j complete."""
+    classes: dict[int, list[int]] = {}
+    for v in sorted(set(values)):
+        classes.setdefault(v % base, []).append(v)
+    modulus = base**stage
+    if len({len(c) for c in classes.values()}) != 1:
+        return None
+    if any((v - c[0]) % modulus for c in classes.values() for v in c):
+        return None
+    parts = sorted((c[0], tuple((v - c[0]) // modulus for v in c)) for c in classes.values())
+    dec = SkewDecomposition(base, stage, *map(tuple, zip(*parts)))
+    return dec if brute_complete(dec) else None
+
+
+@st.composite
+def staged_value_sets(draw) -> tuple[tuple[int, ...], int, int]:
+    """Weak product forms at stages 1-3, one digit moved at random or not,
+    with a stage to decompose at that need not be theirs."""
+    d = draw(weak_product_tiles())
+    values = list(d.digits)
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(values) - 1))
+        values[i] += draw(st.integers(1, 200))
+        assume(len(set(values)) == len(values))
+    return tuple(values), d.base, draw(st.integers(1, 3))
+
+
+class TestComplete:
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(perturbed_decompositions(), random_decompositions()))
+    @example(SkewDecomposition(4, 1, (0, 1), ((0, 0), (0, 2))))  # a duplicate element
+    @example(SkewDecomposition(4, 1, (0, 1), ((0, 2, 2), (0, 2))))  # and the wrong size
+    def test_matches_brute_enumeration(self, dec):
+        assert dec.complete == brute_complete(dec)
+
+    def test_repeated_block_checked_once(self, monkeypatch):
+        seen = []
+
+        def recording(mask, count, shifts, period):
+            seen.append(shifts)
+            return tilescope.core.translates_cover_exactly(mask, count, shifts, period)
+
+        monkeypatch.setattr(tilescope.skewform, "translates_cover_exactly", recording)
+        dec = skew_decompose(TWELVE, 12, 1)
+        assert dec.complete and seen == [(0, 6), (0, 2)]
+        assert verify_decomposition(dec, TWELVE) and len(seen) == 2
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(staged_value_sets(), random_sets().map(lambda d: (d.digits, d.base, 1))))
+    def test_skew_decompose_matches_definition(self, case):
+        values, base, stage = case
+        assert skew_decompose(values, base, stage) == decompose_by_definition(
+            values, base, stage
+        )
