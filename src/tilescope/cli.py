@@ -101,14 +101,10 @@ def _search_record(args: tuple[tuple[int, ...], int, int]) -> dict[str, Any]:
     }
 
 
-def run_search(
-    base: int,
-    bound: int,
-    m_max: int,
-    workers: int,
-    max_base: int = 12,
-    max_bound: int = 64,
-) -> tuple[list[dict[str, Any]], dict[str, Any]]:
+def _check_search(
+    base: int, bound: int, m_max: int, max_base: int = 12, max_bound: int = 64
+) -> None:
+    """Reject bad arguments and a corpus over the cap, before any set is listed."""
     if base < 2:
         raise ValueError(f"base must be >= 2, got {base}")
     if base > max_base:
@@ -123,6 +119,17 @@ def run_search(
             f"{count} digit sets exceed the search cap {MAX_SEARCH_SETS}; "
             f"lower the bound"
         )
+
+
+def run_search(
+    base: int,
+    bound: int,
+    m_max: int,
+    workers: int,
+    max_base: int = 12,
+    max_bound: int = 64,
+) -> tuple[list[dict[str, Any]], dict[str, Any]]:
+    _check_search(base, bound, m_max, max_base, max_bound)
     corpus = enumerate_normalized(base, bound)
     # D and its reflection max D - D share every field but the digits, and
     # the smaller of the two comes first in corpus order: classify that one
@@ -177,13 +184,14 @@ def _cmd_search(args: argparse.Namespace, out: TextIO) -> int:
         workers = args.workers if env is None else int(env)
     except ValueError:
         raise ValueError(f"TILESCOPE_WORKERS must be an integer, got {env!r}") from None
-    # opened before the corpus runs, so a path that cannot be opened costs no work
+    # arguments and cap, then --out, then the corpus: a rejected search
+    # leaves --out as it was, and a path that cannot be opened costs no work
+    _check_search(args.base, args.bound, args.mmax)
     sink = open(args.out, "w") if args.out else out
     try:
         records, summary = run_search(args.base, args.bound, args.mmax, workers)
         if args.json:
-            for record in records:
-                sink.write(json.dumps(record) + "\n")
+            _write_records(records, sink)
             sink.write(json.dumps({"summary": summary}) + "\n")
         else:
             sink.write(
@@ -198,6 +206,27 @@ def _cmd_search(args: argparse.Namespace, out: TextIO) -> int:
         if args.out:
             sink.close()
     return EXIT_OK
+
+
+def _write_records(records: list[dict[str, Any]], sink: TextIO) -> None:
+    """Each record as ``json.dumps(record)``, one per line.
+
+    Every field after ``digits`` takes one of a handful of values across a
+    corpus, so each distinct tail is encoded once and only the digits per
+    record.  Lines are written one by one: joined, the whole output would
+    sit in memory at once.
+    """
+    tails: dict[tuple, str] = {}
+    for record in records:
+        key = (
+            record["tile"], record["m"], record["witness_level"],
+            record["status"], record["violation"],
+        )
+        tail = tails.get(key)
+        if tail is None:
+            rest = {k: v for k, v in record.items() if k != "digits"}
+            tail = tails[key] = json.dumps(rest)[1:]
+        sink.write('{"digits": [%s], %s\n' % (", ".join(map(str, record["digits"])), tail))
 
 
 def _cmd_render(args: argparse.Namespace, out: TextIO) -> int:

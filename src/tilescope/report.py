@@ -143,7 +143,7 @@ def analyze_digit_set(
         report["stopped_after"] = "tile_check"
         return report, EXIT_OK
 
-    found = least_stage(d, m_max)
+    found = least_stage(d, m_max, collides_at=None)  # a tile: no level collides
     report["stabilization"] = {
         "m": None if found is None else found[0].level,
         "m_max": m_max,

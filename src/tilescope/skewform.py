@@ -32,6 +32,7 @@ from .core import (
     translates_cover_exactly,
 )
 from .cyclotomic import PrimePowerSupport, support
+from .tiling import collision_level
 
 
 @dataclass(frozen=True)
@@ -125,24 +126,38 @@ def skew_decompose(
     return dec if dec.complete else None
 
 
+# ``least_stage`` with no hint: the collision level is not known yet
+_UNKNOWN = object()
+
+
 def least_stage(
-    d: DigitSet, m_max: int, collides_at: int | None = None
+    d: DigitSet, m_max: int, collides_at: int | None | object = _UNKNOWN
 ) -> tuple[ExpandedDigits, SkewDecomposition] | None:
     """Least m <= m_max with D_m in 1-stage skew product form at base b**m.
 
     Returns the level-m expansion with its decomposition, or None when a
-    level collides first or no level up to m_max decomposes.  Each level
-    is built from the one below (:func:`~tilescope.core.expand` with
-    ``below``), and the work cap is checked at each level as it is
-    reached, never up front for m_max.
+    level collides first or no level up to m_max decomposes.  The work cap
+    is checked at each level as it is reached, never up front for m_max.
 
-    ``collides_at`` is the first colliding level L when the caller already
-    knows it (``search`` has it from the carry automaton).  The loop then
-    stops at min(m_max, L - 1) and never expands level L; every level below
-    L is still tried, so a decomposition there is still found.  When
-    L <= m_max, the cap is checked for level L without expanding it, so an
-    over-cap level raises the same error at the same level as without the
-    hint.
+    ``collides_at`` is the first colliding level L, or None when no level
+    collides (a tile).  ``search`` and ``analyze`` know it from the carry
+    automaton and pass it; with no hint, L comes from
+    :func:`~tilescope.tiling.collision_level`, so the set must fit that
+    automaton's state cap.  Only the levels below min(m_max + 1, L) are
+    tried, since a colliding level has fewer than b**m values and cannot
+    decompose, and neither can any level above it (collisions never heal).
+    When L <= m_max, the cap is checked for level L without expanding it,
+    so an over-cap level raises the same error at the same level as a walk
+    that expands every level up to the first collision.
+
+    Most levels are ruled out before their values exist.  The first test
+    of :func:`skew_decompose` at base b**m is that the residue classes of
+    D_m mod b**m number a divisor of b**m, and those classes need only the
+    residues R_m = D_m mod b**m, built level by level as
+    R_m = {(x + b*r) mod b**m : x in D, r in R_(m-1)}, since x + b*v mod
+    b**m depends on v only mod b**(m-1).  A level is expanded
+    (:func:`~tilescope.core.expand`, from the highest level built so far)
+    and decomposed only when #R_m divides b**m.
 
     Such an m also stabilizes the chain J_k = D_k + b**k * Z.  Let D_m be
     the blocks a_j + B*B_j with B = b**m and every A + B_j complete mod B.
@@ -163,18 +178,25 @@ def least_stage(
     """
     if m_max < 1:
         raise ValueError(f"m_max must be >= 1, got {m_max}")
+    if collides_at is _UNKNOWN:
+        collides_at = collision_level(d)
     top = m_max if collides_at is None else min(m_max, collides_at - 1)
+    base, digits = d.base, d.digits
+    residues = {0}  # R_0
     level = None
     for m in range(1, top + 1):
+        _check_level(base, m)
+        modulus = base**m
+        residues = {(x + br) % modulus for br in [base * r for r in residues] for x in digits}
+        if modulus % len(residues):
+            continue  # skew_decompose's class-count test fails at this level
         level = expand(d, m, below=level)
-        if level.collisions:
-            return None
-        dec = skew_decompose(level.values, d.base**m, 1)
+        dec = skew_decompose(level.values, modulus, 1)
         if dec is not None:
             return level, dec
     if top < m_max:
         # the colliding level is not expanded, but its cap still applies
-        _check_level(d.base, collides_at)
+        _check_level(base, collides_at)
     return None
 
 

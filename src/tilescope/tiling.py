@@ -23,6 +23,7 @@ from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .core import (
     DigitSet,
@@ -85,8 +86,10 @@ class CarryAutomaton:
     some expansion level exists iff a closed walk 0 -> 0 uses at least one
     nontrivial edge.
 
-    No table is built: carry c takes its edges from the digit pairs with
-    x - y = -c (mod b), and its predecessors p = b*c - (x - y) from the
+    No table is built, and no digit pair is kept until a witness needs
+    one: an edge depends on its pair only through the difference x - y, so
+    carry c takes its successors (c + x - y) / b from the differences
+    congruent to -c mod b, and its predecessors p = b*c - (x - y) from the
     differences within ``bound`` of b*c.  Trivial edges map carry 0 to 0,
     so only carry 0 is ever in the "no nontrivial edge yet" state, and
     after the first nontrivial step a state is a plain int carry.  Let
@@ -133,18 +136,33 @@ class CarryAutomaton:
         self.digits = d.digits
         self.bound = _carry_bound(d)
         self.states = range(-self.bound, self.bound + 1)
-        # The first pair (x, y) in digit order of each difference x - y; pairs
-        # with one difference lead to the same state, so only the first counts.
+        # An edge depends on its digit pair only through x - y, so both
+        # searches need only the differences, ascending and by residue mod b.
+        self._deltas = sorted({x - y for x in d.digits for y in d.digits})
+        self._groups: list[list[int]] = [[] for _ in range(d.base)]
+        for delta in self._deltas:
+            self._groups[delta % d.base].append(delta)
+
+    @cached_property
+    def _first(self) -> dict[int, tuple[int, int]]:
+        """The first pair (x, y) in digit order of each difference x - y.
+
+        Pairs with one difference lead to the same state, so only the first
+        counts; the witness needs it, the searches do not.
+        """
         first: dict[int, tuple[int, int]] = {}
-        for x in d.digits:
-            for y in d.digits:
+        for x in self.digits:
+            for y in self.digits:
                 first.setdefault(x - y, (x, y))
-        self._first = first
-        self._deltas = sorted(first)
-        # pairs[r]: those pairs with x - y = r (mod b), in digit order
-        self._pairs: list[list[tuple[int, int]]] = [[] for _ in range(d.base)]
-        for delta, pair in first.items():
-            self._pairs[delta % d.base].append(pair)
+        return first
+
+    @cached_property
+    def _pairs(self) -> list[list[tuple[int, int]]]:
+        """``_pairs[r]``: the pairs of ``_first`` with x - y = r (mod b), in digit order."""
+        pairs: list[list[tuple[int, int]]] = [[] for _ in range(self.base)]
+        for delta, pair in self._first.items():
+            pairs[delta % self.base].append(pair)
+        return pairs
 
     def _window(self, c: int) -> range:
         """Indices in ``_deltas`` of the delta with |b*c - delta| <= bound."""
@@ -161,8 +179,8 @@ class CarryAutomaton:
         nontrivial step), ``backward[j]`` is B_j, and ``meet`` is
         F_rf & B_rb for the last layers of each, so L = rf + rb.
         """
-        base, pairs, deltas = self.base, self._pairs, self._deltas
-        f = {(x - y) // base for x, y in pairs[0] if x != y}
+        base, groups, deltas = self.base, self._groups, self._deltas
+        f = {delta // base for delta in groups[0] if delta}
         b = {0}
         forward, backward = [{0}, f], [b]
         f_seen, b_seen = set(f), {0}
@@ -170,10 +188,7 @@ class CarryAutomaton:
             # cost of the next layer: frontier size times edges per carry,
             # about #deltas / b forward and #deltas / (b - 1) backward
             if len(f) * (base - 1) <= len(b) * base:
-                layer = set()
-                for c in f:
-                    for x, y in pairs[-c % base]:
-                        layer.add((c + x - y) // base)
+                layer = {(c + delta) // base for c in f for delta in groups[-c % base]}
                 f = layer - f_seen
                 f_seen |= f
                 forward.append(f)
@@ -206,7 +221,7 @@ class CarryAutomaton:
         self, forward: list[set[int]], backward: list[set[int]], meet: set[int]
     ) -> set[int]:
         """S, the carries c with f(c) + g(c) == L, from the meeting carries."""
-        base, pairs, deltas = self.base, self._pairs, self._deltas
+        base, groups, deltas = self.base, self._groups, self._deltas
         rf, level = len(forward) - 1, len(forward) + len(backward) - 2
         found = set(meet)
         layer = meet
@@ -225,7 +240,7 @@ class CarryAutomaton:
             layer = {
                 u
                 for c in layer
-                for u in ((c + x - y) // base for x, y in pairs[-c % base])
+                for u in ((c + delta) // base for delta in groups[-c % base])
                 if u in backward[level - i]
             }
             found |= layer

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tilescope import cli
+from tilescope import cli, tiling
 from tilescope.cli import (
     build_parser,
     count_normalized,
@@ -87,6 +87,28 @@ class TestAnalyze:
         report = json.loads(out)
         assert report["stabilization"]["inconclusive"] is True
         assert report["stopped_after"] == "stabilization"
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (("-b", "12", "-d", TWELVE), 0),
+            (("-b", "4", "-d", "0,1,2,5"), 0),
+            (("-b", "4", "-d", "0,1,32,33", "--mmax", "1"), 3),
+        ],
+    )
+    def test_one_automaton_per_set(self, capsys, monkeypatch, argv, code):
+        # a tile's stage search is told that no level collides, so it does
+        # not run the automaton a second time
+        built = []
+        init = tiling.CarryAutomaton.__init__
+
+        def counting(automaton, d):
+            built.append(d.digits)
+            init(automaton, d)
+
+        monkeypatch.setattr(tiling.CarryAutomaton, "__init__", counting)
+        assert run_cli(capsys, "analyze", *argv, "--json")[0] == code
+        assert len(built) == 1
 
     def test_text_output(self, capsys):
         code, out, _ = run_cli(capsys, "analyze", "-b", "4", "-d", "0,1,8,9")
@@ -275,6 +297,41 @@ class TestSearch:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and str(path) in err
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("-b", "12", "--bound", "64"), f"{count_normalized(12, 64)} digit sets exceed"),
+            (("-b", "3", "--bound", "65"), "search bound 65 exceeds the default cap"),
+            (("-b", "3", "--bound", "9", "--mmax", "0"), "m_max must be >= 1, got 0"),
+        ],
+    )
+    def test_rejected_search_leaves_out_file_as_it_was(self, capsys, tmp_path, argv, message):
+        path = tmp_path / "y.jsonl"
+        path.write_text("kept")
+        code, out, err = run_cli(capsys, "search", *argv, "--out", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {message}")
+        assert path.read_text() == "kept"
+
+    def test_record_lines_are_json_dumps(self, capsys):
+        # each record tail is encoded once per corpus; every line must still
+        # be json.dumps of its record, for all three statuses ((4, 40) at
+        # --mmax 1 holds the inconclusive ones, stage-2 tiles such as
+        # 0,1,32,33; (6, 16) at --mmax 1 has none)
+        statuses = set()
+        for base, bound, m_max in ((6, 16, 1), (4, 40, 1), (4, 24, 6), (3, 40, 6)):
+            code, out, _ = run_cli(
+                capsys, "search", "-b", str(base), "--bound", str(bound),
+                "--mmax", str(m_max), "--json",
+            )
+            records, summary = run_search(base, bound, m_max, workers=1)
+            assert code == 0
+            assert out.splitlines(keepends=True) == [
+                json.dumps(record) + "\n" for record in records
+            ] + [json.dumps({"summary": summary}) + "\n"]
+            statuses.update(record["status"] for record in records)
+        assert statuses == {"tile", "non_tile", "inconclusive"}
 
     @pytest.mark.parametrize("base", range(2, 7))
     def test_count_matches_enumeration(self, base):

@@ -356,7 +356,7 @@ class TestStopLevel:
 
         monkeypatch.setattr(tilescope.skewform, "expand", recording)
         assert least_stage(d, 6, collides_at=4) is None
-        assert reached == [1, 2, 3]
+        assert 4 not in reached
 
     @pytest.mark.parametrize("m_max", [3, 4, 6])
     def test_cap_at_the_collision_level(self, monkeypatch, m_max):
@@ -374,6 +374,75 @@ class TestStopLevel:
             assert outcomes[0] == "level 4 too large for base 3: at most 3 levels fit the work cap"
         else:
             assert outcomes[0] is None
+
+
+def least_stage_by_expansion(d: DigitSet, m_max: int):
+    """Stage search by expansion alone: the reference for ``least_stage``.
+
+    Every level is expanded from the one below and handed to
+    ``skew_decompose``; the walk stops at the first colliding level.
+    """
+    if m_max < 1:
+        raise ValueError(f"m_max must be >= 1, got {m_max}")
+    level = None
+    for m in range(1, m_max + 1):
+        level = expand(d, m, below=level)
+        if level.collisions:
+            return None
+        dec = skew_decompose(level.values, d.base**m, 1)
+        if dec is not None:
+            return level, dec
+    return None
+
+
+def outcome(fn, *args):
+    """The result of ``fn(*args)``, or the type and message of its ValueError."""
+    try:
+        return fn(*args)
+    except ValueError as err:
+        return type(err), str(err)
+
+
+class TestLeastStageOracle:
+    """``least_stage`` rules levels out by their residue class count first."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(weak_product_tiles(), random_sets()),
+        st.integers(1, 5),
+        st.integers(1, 6),
+    )
+    def test_matches_expansion(self, d, m_max, cap_level):
+        expected = outcome(least_stage_by_expansion, d, m_max)
+        assert outcome(least_stage, d, m_max) == expected
+        assert outcome(least_stage, d, m_max, collision_level(d)) == expected
+        with pytest.MonkeyPatch.context() as mp:
+            # levels above cap_level are over the work cap
+            mp.setattr(tilescope.core, "MAX_EXPANSION_TERMS", d.base**cap_level)
+            capped = outcome(least_stage_by_expansion, d, m_max)
+            assert outcome(least_stage, d, m_max) == capped
+            assert outcome(least_stage, d, m_max, collision_level(d)) == capped
+
+    def test_levels_ruled_out_are_not_expanded(self, monkeypatch):
+        # {0,1,32,33}: level 1 has 2 classes mod 4, a divisor, but no skew
+        # form; level 2 decomposes, built from level 1
+        d = DigitSet(4, (0, 1, 32, 33))
+        reached = []
+
+        def recording(d, level, below=None):
+            reached.append((level, None if below is None else below.level))
+            return tilescope.core.expand(d, level, below)
+
+        monkeypatch.setattr(tilescope.skewform, "expand", recording)
+        assert least_stage(d, 6)[0].level == 2
+        assert reached == [(1, None), (2, 1)]
+        reached.clear()
+        # {0,1,9,10} first collides at level 4, and #R_1, #R_2, #R_3 are
+        # 3, 10 and 36: none divides its modulus, so no level is expanded
+        d = DigitSet(4, (0, 1, 9, 10))
+        assert collision_level(d) == 4
+        assert least_stage(d, 6) is None
+        assert reached == []
 
 
 def brute_complete(dec: SkewDecomposition) -> bool:
