@@ -12,9 +12,76 @@ workers without synchronization.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterable
+
+
+def frozen(cls):
+    """Make ``cls`` an immutable value class over its annotated fields.
+
+    Behaves as ``@dataclass(frozen=True)`` on a class whose fields have no
+    defaults: ``__init__`` takes the fields by position or by keyword and
+    raises TypeError on a missing or extra argument, then runs
+    ``__post_init__`` if the class has one; instances are equal only to
+    instances of the same class with equal fields, hash as the tuple of
+    their fields and repr as ``Name(field=value, ...)``; assigning or
+    deleting an attribute raises AttributeError; ``__match_args__`` lists
+    the fields.  Pickling and ``functools.cached_property`` work as on any
+    class with an instance dict.  The methods are closures over the field
+    names: a launch neither imports ``dataclasses`` (which pulls in
+    ``inspect`` and ``ast``) nor compiles generated source for each class.
+    """
+    names = tuple(cls.__annotations__)
+    arity = len(names)
+    fields = attrgetter(*names)
+    key = fields if arity > 1 else lambda self: (fields(self),)
+    post_init = hasattr(cls, "__post_init__")
+    setter = object.__setattr__
+    usage = f"{cls.__qualname__}() takes {arity} arguments ({', '.join(names)})"
+
+    def __init__(self, *args, **kwargs):
+        # each field exactly once: the counts agree and every name not given
+        # by position is a keyword; testing ``args`` first spares the usual
+        # all-keyword call an empty zip and slice
+        if len(args) + len(kwargs) != arity:
+            raise TypeError(usage)
+        if args:
+            for name, value in zip(names, args):
+                setter(self, name, value)
+        if kwargs:
+            try:
+                for name in names[len(args) :] if args else names:
+                    setter(self, name, kwargs[name])
+            except KeyError:
+                raise TypeError(usage) from None
+        if post_init:
+            self.__post_init__()
+
+    def __repr__(self):
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in names)
+        return f"{self.__class__.__qualname__}({body})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return key(self) == key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(key(self))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    for method in (__init__, __repr__, __eq__, __hash__, __setattr__, __delattr__):
+        method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
+        setattr(cls, method.__name__, method)
+    cls.__match_args__ = names
+    return cls
+
 
 # Cap on the number of formal digit strings an expansion may touch.
 # Python integers never wrap, so the only failure mode is unbounded work;
@@ -52,7 +119,7 @@ def _check_level(base: int, level: int) -> None:
         raise ExpansionLimitError(base, level, max_expansion_level(base))
 
 
-@dataclass(frozen=True)
+@frozen
 class DigitSet:
     """A base b together with b distinct integer digits, stored sorted.
 
@@ -88,7 +155,7 @@ class DigitSet:
         return iter(self.digits)
 
 
-@dataclass(frozen=True)
+@frozen
 class ExpandedDigits:
     """Distinct values of a level-k digit expansion, plus the collision count."""
 
@@ -201,7 +268,7 @@ def _divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
-@dataclass(frozen=True)
+@frozen
 class PeriodicSet:
     """A fully periodic subset of Z: ``residues + period * Z``.
 

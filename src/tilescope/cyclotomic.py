@@ -28,14 +28,15 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations, product
 from typing import Iterable, Sequence
 
+from .core import frozen
 
-@dataclass(frozen=True)
+
+@frozen
 class IntPolynomial:
     """Integer polynomial as a coefficient tuple, lowest degree first.
 
@@ -251,7 +252,7 @@ def divides_oracle(s: int, a: Iterable[int]) -> bool:
     return rem.is_zero
 
 
-@dataclass(frozen=True)
+@frozen
 class PrimePowerSupport:
     """The prime powers whose cyclotomic polynomials divide a set's mask.
 
@@ -371,7 +372,7 @@ def check_t2(a: Iterable[int], strict: bool = False) -> bool:
     return support(a).t2(strict)
 
 
-@dataclass(frozen=True)
+@frozen
 class RationalSpectrum:
     """A finite set of rationals in [0, 1) with a common denominator.
 

@@ -25,19 +25,18 @@ floats in this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
 
-from .core import DigitSet, PeriodicSet, _check_level
+from .core import DigitSet, PeriodicSet, _check_level, frozen
 from .tiling import tile_measure
 
 Interval = tuple[Fraction, Fraction]
 Bounds = tuple[int, int]
 
 
-@dataclass(frozen=True)
+@frozen
 class IntervalUnion:
     """Disjoint, sorted closed intervals ``[lo / denominator, hi / denominator]``."""
 
@@ -136,7 +135,7 @@ def approx_oracle(d: DigitSet, level: int) -> IntervalUnion:
     )
 
 
-@dataclass(frozen=True)
+@frozen
 class MeasureReport:
     """Covered lengths per level, against the exact tile measure if known."""
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from itertools import product
 from operator import ge
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
 
@@ -28,6 +27,7 @@ from .core import (
     _check_level,
     direct_sum_complete,
     expand,
+    frozen,
     residue_mask,
     translates_cover_exactly,
 )
@@ -35,7 +35,7 @@ from .cyclotomic import PrimePowerSupport, support
 from .tiling import collision_level
 
 
-@dataclass(frozen=True)
+@frozen
 class SkewDecomposition:
     """A digit set split into residue-class blocks a_j + base**stage * B_j."""
 
@@ -148,7 +148,9 @@ def least_stage(
     decompose, and neither can any level above it (collisions never heal).
     When L <= m_max, the cap is checked for level L without expanding it,
     so an over-cap level raises the same error at the same level as a walk
-    that expands every level up to the first collision.
+    that expands every level up to the first collision.  A wrong hint of
+    None on a non-tile ends the walk at the first colliding level that is
+    expanded, with None, as that walk does.
 
     Most levels are ruled out before their values exist.  The first test
     of :func:`skew_decompose` at base b**m is that the residue classes of
@@ -191,6 +193,8 @@ def least_stage(
         if modulus % len(residues):
             continue  # skew_decompose's class-count test fails at this level
         level = expand(d, m, below=level)
+        if level.collisions:
+            return None  # a wrong hint: collisions never heal, so no level decomposes
         dec = skew_decompose(level.values, modulus, 1)
         if dec is not None:
             return level, dec

@@ -19,10 +19,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .core import direct_sum_complete
+from .core import direct_sum_complete, frozen
 from .cyclotomic import RationalSpectrum, divides
 from .skewform import SkewDecomposition
 
@@ -78,7 +77,7 @@ def unitarity_residual(n: int, a: Sequence[int], ell: Sequence[int]) -> float:
     return worst
 
 
-@dataclass(frozen=True)
+@frozen
 class AnLaiReport:
     """Spectral-hypothesis data for a 1-stage decomposition.
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -31,6 +30,7 @@ from .core import (
     ExpansionLimitError,
     PeriodicSet,
     expand,
+    frozen,
     max_expansion_level,
     residues_mod,
 )
@@ -45,7 +45,7 @@ MAX_CHAIN_RESIDUES = 1 << 22
 MAX_AUTOMATON_STATES = 1 << 21
 
 
-@dataclass(frozen=True)
+@frozen
 class TileWitness:
     """Two distinct equal-value digit strings certifying a collision.
 
@@ -429,7 +429,7 @@ def is_tile_oracle(d: DigitSet, k_max: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@frozen
 class ReplicatingChain:
     """Entries J_0 = Z, J_k = b*J_{k-1} + D, each stored in canonical form."""
 

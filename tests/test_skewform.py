@@ -1,6 +1,7 @@
 """Detection, verification, lifting, and generation of decompositions."""
 
 import math
+from functools import partial
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -26,6 +27,7 @@ from tilescope import (
     stabilization_exponent,
     verify_decomposition,
 )
+from tilescope.cli import enumerate_normalized
 
 TWELVE = (0, 1, 4, 8, 9, 17, 25, 33, 41, 72, 76, 80)
 
@@ -364,9 +366,9 @@ class TestStopLevel:
         d = DigitSet(3, (0, 1, 15))
         monkeypatch.setattr(tilescope.core, "MAX_EXPANSION_TERMS", 3**3)
         outcomes = []
-        for hint in (None, 4):
+        for hint in ({}, {"collides_at": 4}):
             try:
-                outcomes.append(least_stage(d, m_max, collides_at=hint))
+                outcomes.append(least_stage(d, m_max, **hint))
             except ExpansionLimitError as err:
                 outcomes.append(str(err))
         assert outcomes[0] == outcomes[1]
@@ -443,6 +445,17 @@ class TestLeastStageOracle:
         assert collision_level(d) == 4
         assert least_stage(d, 6) is None
         assert reached == []
+
+    def test_a_wrong_hint_stops_at_the_first_collision(self):
+        # collides_at=None claims a tile; on a non-tile, the first colliding
+        # level expanded answers None, as the walk that expands every level
+        # does; these four pass the class-count test at a colliding level
+        wrong = [(0, 3, 20), (0, 4, 19), (0, 15, 19), (0, 17, 20)]
+        sets = map(partial(DigitSet, 3), enumerate_normalized(3, 30))
+        non_tiles = [d for d in sets if collision_level(d) is not None]
+        assert {d.digits for d in non_tiles} >= set(wrong)
+        for d in non_tiles:
+            assert outcome(least_stage, d, 8, None) == outcome(least_stage_by_expansion, d, 8)
 
 
 def brute_complete(dec: SkewDecomposition) -> bool:
