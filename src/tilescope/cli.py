@@ -46,6 +46,9 @@ from .skewform import least_stage
 from .tiling import collision_level
 
 MAX_SEARCH_SETS = 500_000
+# Largest ``render`` width and height: far past any display, far inside the
+# float range the SVG coordinates are computed in
+MAX_CANVAS = 1_000_000
 
 
 def _parse_digits(text: str) -> list[int]:
@@ -234,10 +237,10 @@ def _cmd_render(args: argparse.Namespace, out: TextIO) -> int:
         raise ValueError(f"level must be >= 1, got {args.k}")
     d = DigitSet(args.base, tuple(_parse_digits(args.digits)))
     # 40-px margins on each side, and bands more than the 4-px gap high
-    if args.width <= 80 or args.height <= 80 + 4 * args.k:
+    if not (80 < args.width <= MAX_CANVAS and 80 + 4 * args.k < args.height <= MAX_CANVAS):
         raise ValueError(
             f"width must be > 80 and height > {80 + 4 * args.k} for {args.k} levels, "
-            f"got {args.width}x{args.height}"
+            f"both at most {MAX_CANVAS}, got {args.width}x{args.height}"
         )
     # cap, then --out, then covers: a failed check neither truncates --out nor costs work
     _check_level(d.base, args.k)

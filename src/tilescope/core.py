@@ -115,7 +115,9 @@ def max_expansion_level(base: int) -> int:
 def _check_level(base: int, level: int) -> None:
     if level < 1:
         raise ValueError(f"expansion level must be >= 1, got {level}")
-    if base**level > MAX_EXPANSION_TERMS:
+    # base >= 2, so no level from the cap's bit length on fits: the power
+    # below stays small however large the level asked for
+    if level >= MAX_EXPANSION_TERMS.bit_length() or base**level > MAX_EXPANSION_TERMS:
         raise ExpansionLimitError(base, level, max_expansion_level(base))
 
 

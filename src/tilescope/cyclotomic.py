@@ -19,9 +19,10 @@ Phi_{p**k}(1) = p, only primes dividing #A can enter it.  (T1) equates
 #A with the product of the primes under the support, (T2) asks for
 divisibility at products of coprime support entries, and together they
 yield the spectrum ``{sum of k_s / s}`` in the cyclic group of order
-lcm(support).  Each support decides (T2) in both readings and builds its
-spectrum once, from integers over lcm(support), and caches both on itself;
-the spectrum keeps those integers as its numerators.
+lcm(support).  Each support decides (T2) in both readings, testing each
+distinct product of its entries once, and builds its spectrum once, from
+integers over lcm(support); it caches both on itself, and the spectrum
+keeps those integers as its numerators.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import combinations, product
+from itertools import product
 from typing import Iterable, Sequence
 
 from .core import frozen
@@ -277,7 +278,7 @@ class PrimePowerSupport:
     def __len__(self) -> int:
         return len(self.entries)
 
-    @property
+    @cached_property
     def primes(self) -> tuple[int, ...]:
         return tuple(prime_power_root(e) for e in self.entries)
 
@@ -301,22 +302,24 @@ class PrimePowerSupport:
         powers of pairwise distinct primes, the cyclotomic polynomial of the
         product must divide the mask.  ``strict=True`` widens the subsets to
         all combinations of distinct entries (powers of one prime included),
-        a literal reading that is strictly harder to satisfy.
+        a literal reading that is strictly harder to satisfy.  Each reading
+        depends only on the distinct products, so each distinct product is
+        tested once, whichever subsets reach it.
         """
         return self._t2_readings[strict]
 
     @cached_property
     def _t2_readings(self) -> tuple[bool, bool]:
-        # (relaxed, strict): only a failing subset of distinct primes fails both
-        strict = True
-        for k in range(2, len(self.entries) + 1):
-            for combo in combinations(self.entries, k):
-                distinct = len({prime_power_root(e) for e in combo}) == k
-                if (distinct or strict) and not divides(math.prod(combo), self.values):
-                    if distinct:
-                        return False, False
-                    strict = False
-        return True, strict
+        # (relaxed, strict) from one pass: ``coprime`` holds the products of
+        # at most one entry per prime, ``several`` those of two or more entries
+        coprime, single, several = {1}, set(), set()
+        for e, p in zip(self.entries, self.primes):
+            coprime |= {x * e for x in coprime if x % p}
+            several |= {x * e for x in single | several}
+            single.add(e)
+        coprime -= single | {1}  # a failure here fails both readings
+        relaxed = all(divides(s, self.values) for s in coprime)
+        return relaxed, relaxed and all(divides(s, self.values) for s in several - coprime)
 
     def spectrum(self) -> "RationalSpectrum":
         """The explicit spectrum ``{sum of k_s / s mod 1}`` of a (T1)+(T2) set.
@@ -335,7 +338,7 @@ class PrimePowerSupport:
     def _spectrum(self) -> "RationalSpectrum":
         # the sums as integers over n = lcm(support): k_s / s = k_s * (n/s) / n
         n = self.lcm
-        terms = [[k * (n // s) for k in range(prime_power_root(s))] for s in self.entries]
+        terms = [[k * (n // s) for k in range(p)] for s, p in zip(self.entries, self.primes)]
         spectrum = RationalSpectrum(tuple({sum(ks) % n for ks in product(*terms)}), n)
         assert len(spectrum) == len(self.values)
         return spectrum

@@ -4,15 +4,17 @@
 ``exp(2*pi*i*a*l/N) / sqrt(#A)`` indexed by A x L is unitary, i.e. #A ==
 #L and every distinct pair of columns is orthogonal.  Columns l and l' are
 orthogonal exactly when Phi_s divides the mask of A, for the order
-s = N / gcd(l' - l, N).  So each spectrum's orders are scanned once, and
-the triple is decided from that order set with one exact divisibility test
-per distinct order; the floating-point unitarity residual exists only as a
-cross-check, never as the decision procedure.
+s = N / gcd(l' - l, N).  :func:`is_hadamard` scans L's orders once and
+decides the triple with one exact divisibility test per distinct order;
+the floating-point unitarity residual exists only as a cross-check, never
+as the decision procedure.
 
 From a complete 1-stage decomposition this module assembles the two
-scaled spectra L1 (from the representatives) and L2 (from the blocks),
-checks the part triples, and checks the counting identity: L1 + L2 is a
-complete residue system mod the modulus, which decides every joint triple.
+scaled spectra L1 (from the representatives) and L2 (from the blocks).
+Every verdict is read from a fact already decided, so no pair is scanned
+and no divisibility is tested here: each part triple holds by its
+(T1)/(T2) flags, and every joint triple by the counting identity, L1 + L2
+a complete residue system mod the modulus.
 """
 
 from __future__ import annotations
@@ -43,21 +45,16 @@ class SpectralConditionError(ValueError):
 
 
 def is_hadamard(n: int, a: Iterable[int], ell: Iterable[int]) -> bool:
-    """Exact Hadamard-triple test for (n, A, L); L not distinct mod n fails."""
+    """Exact Hadamard-triple test for (n, A, L); L not distinct mod n fails.
+
+    One scan of L's pairs collects their orders, then one divisibility
+    test per distinct order decides A.
+    """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    sl = sorted(set(ell))
-    return _decide(set(a), len(sl), _orders(n, sl))
-
-
-def _orders(n: int, ell: Sequence[int]) -> set[int]:
-    """The orders n / gcd(l' - l, n) over the pairs of the distinct points L."""
-    return {n // math.gcd(cc - c, n) for i, c in enumerate(ell) for cc in ell[i + 1:]}
-
-
-def _decide(a: set[int], size: int, orders: set[int]) -> bool:
-    """The verdict for (n, A, L) from #L and the orders of L's pairs."""
-    return len(a) == size and 1 not in orders and all(divides(s, a) for s in sorted(orders))
+    sl, a = sorted(set(ell)), set(a)
+    orders = {n // math.gcd(cc - c, n) for i, c in enumerate(sl) for cc in sl[i + 1:]}
+    return len(a) == len(sl) and 1 not in orders and all(divides(s, a) for s in sorted(orders))
 
 
 def unitarity_residual(n: int, a: Sequence[int], ell: Sequence[int]) -> float:
@@ -84,10 +81,11 @@ class AnLaiReport:
     ``modulus`` is the decomposition base; L1 and L2 are the spectra of
     the representatives and of the first block, scaled up to the modulus.
     ``lcm_a`` / ``lcm_b`` record the intermediate cyclic orders before
-    rescaling.  Condition (i) covers the part triples, condition (ii) the
-    joint triples per block, and the counting identity asks L1 + L2 to be
-    a complete residue system of exactly ``modulus`` sums; it is also
-    every joint verdict (see :func:`build_spectral_data`).
+    rescaling.  Condition (i) covers the part triples, which hold by the
+    parts' (T1)/(T2) flags; condition (ii) the joint triples per block,
+    and the counting identity asks L1 + L2 to be a complete residue system
+    of exactly ``modulus`` sums; it is also every joint verdict (see
+    :func:`build_spectral_data`).
     """
 
     modulus: int
@@ -119,8 +117,18 @@ def build_spectral_data(dec: SkewDecomposition) -> AnLaiReport:
     Requires a 1-stage decomposition (lift first otherwise).  Every part
     must satisfy (T1) and (T2) and all blocks must share one support;
     violations raise :class:`SpectralConditionError` with per-part flags.
-    An incomplete decomposition then raises ``ValueError``.  L1 and the
-    shared L2 have their pair orders scanned once each.
+    An incomplete decomposition then raises ``ValueError``.  No pair is
+    scanned and no divisibility tested: every verdict follows from those
+    checks.
+
+    Each part triple (n, A, L1) and (n, B_j, L2) holds by the part's flags
+    (Laba 2002).  Two points of the spectrum {sum of k_s / s} differ by a
+    rational whose order is the product, over the primes where they
+    differ, of the largest support entry s = p**a with k_s changed: the
+    lower terms of that prime have smaller denominators.  So every pair
+    order is one support entry, whose Phi_s divides the mask by
+    definition, or a product of entries for distinct primes, which (T2)
+    covers; and (T1) makes #L equal to the part's size.
 
     Each joint triple (n, A + B_j, L1 + L2) holds exactly when L1 + L2 is
     complete mod n, the counting identity: Phi_s divides the mask of the
@@ -134,7 +142,7 @@ def build_spectral_data(dec: SkewDecomposition) -> AnLaiReport:
     supports = dec.supports
     labels = {"A": dec.A} | {f"B{j}": b for j, b in enumerate(dec.Bs)}
     part_flags = {k: (supports[p].t1, supports[p].t2()) for k, p in labels.items()}
-    bad = sorted(k for k, (t1, t2) in part_flags.items() if not (t1 and t2))
+    bad = sorted(k for k, flags in part_flags.items() if not all(flags))
     if bad:
         raise SpectralConditionError(
             f"(T1)/(T2) fails for parts {bad}", part_flags
@@ -149,8 +157,6 @@ def build_spectral_data(dec: SkewDecomposition) -> AnLaiReport:
     supp_a, supp_b = supports[dec.A], supports[dec.Bs[0]]
     l1 = supp_a.spectrum().scaled(n)
     l2 = supp_b.spectrum().scaled(n)
-    orders_b = _orders(n, l2)
-    part_ok = {b: _decide(set(b), len(l2), orders_b) for b in dict.fromkeys(dec.Bs)}
     counting = direct_sum_complete(l1, l2, n)
     return AnLaiReport(
         modulus=n,
@@ -161,8 +167,8 @@ def build_spectral_data(dec: SkewDecomposition) -> AnLaiReport:
         lcm_b=supp_b.lcm,
         l1=l1,
         l2=l2,
-        hadamard_a=is_hadamard(n, dec.A, l1),
-        hadamard_b=tuple(part_ok[b] for b in dec.Bs),
+        hadamard_a=all(part_flags["A"]),
+        hadamard_b=tuple(all(part_flags[f"B{j}"]) for j in range(len(dec.Bs))),
         hadamard_joint=(counting,) * len(dec.Bs),
         counting_identity=counting,
     )
@@ -181,11 +187,12 @@ def truncated_spectrum(
     """
     if levels < 1:
         raise ValueError(f"levels must be >= 1, got {levels}")
+    if base < 2:
+        raise ValueError(f"base must be >= 2, got {base}")
     vals, cs = sorted(set(values)), sorted(set(c))
-    if base**levels > MAX_TRUNCATION_POINTS:
-        raise ValueError(
-            f"{levels} levels give {base**levels} spectrum points, over the cap"
-        )
+    # as in the expansion cap, the bit length bounds the levels before any power
+    if levels >= MAX_TRUNCATION_POINTS.bit_length() or base**levels > MAX_TRUNCATION_POINTS:
+        raise ValueError(f"{levels} levels of base {base} put the spectrum over the cap")
     if not is_hadamard(base, vals, cs):
         return None
     modulus = base**levels

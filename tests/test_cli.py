@@ -435,6 +435,27 @@ class TestRender:
         assert err.startswith("error: level 40 too large for base 3")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ("analyze", "-b", "2", "-d", "0,1", "--kmax", "100000000000"),
+                "error: level 100000000000 too large for base 2",
+            ),
+            (
+                ("render", "-b", "3", "-d", "0,1,2", "-k", "249979", "--height", "1000000"),
+                "error: level 249979 too large for base 3",
+            ),
+        ],
+    )
+    def test_huge_level_checked_without_its_power(self, capsys, argv, message):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 2
+        assert code == 2 and out == ""
+        assert err.startswith(message)
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("fmt", ["svg", "json"])
     def test_out_path_that_cannot_be_opened(self, capsys, tmp_path, fmt):
         path = tmp_path / "missing" / f"tower.{fmt}"
@@ -468,6 +489,16 @@ class TestRender:
         assert code == 2 and err.startswith("error: level 40 too large for base 3")
         assert path.read_text() == "kept"
 
+    def test_oversized_canvas_leaves_out_file_as_it_was(self, capsys, tmp_path):
+        path = tmp_path / "tower.svg"
+        path.write_text("kept")
+        code, _, err = run_cli(
+            capsys, "render", "-b", "2", "-d", "0,1", "-k", "1",
+            "--height", "1" + "0" * 400, "--out", str(path),
+        )
+        assert code == 2 and err.startswith("error: width must be > 80")
+        assert path.read_text() == "kept"
+
     @pytest.mark.parametrize("level", ["0", "-3"])
     def test_level_must_be_positive(self, capsys, level):
         code, out, err = run_cli(capsys, "render", "-b", "3", "-d", "0,1,2", "-k", level)
@@ -485,6 +516,10 @@ class TestRender:
             ("--height", "100", "-k", "10"),
             ("--height", "120", "-k", "10"),
             ("--format", "json", "--width", "-5"),
+            ("-b", "2", "-d", "0,1", "-k", "1", "--width", "1" + "0" * 400),
+            ("-b", "2", "-d", "0,1", "-k", "1", "--height", "1" + "0" * 400),
+            ("--width", "1000001"),
+            ("-b", "3", "-d", "0,1,2", "-k", "100000000", "--height", "1000000000"),
         ],
     )
     def test_size_must_leave_room_for_the_bands(self, capsys, argv):

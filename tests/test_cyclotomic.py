@@ -14,7 +14,7 @@ from conftest import find_tiling_complement
 from tilescope import cyclotomic
 from tilescope.cli import enumerate_normalized, main
 from tilescope.core import DigitSet
-from tilescope.skewform import least_stage
+from tilescope.skewform import gen_weak_product_form, least_stage
 from tilescope import (
     IntPolynomial,
     analyze_digit_set,
@@ -297,6 +297,77 @@ class TestSupportRecord:
         }
         assert supp.spectrum().elements == tuple(sorted(sums))
         assert supp.spectrum() is supp.spectrum()
+
+
+@st.composite
+def hand_built_records(draw):
+    """(entries, values): prime powers whose products stay small enough for
+    the dense oracle, with 2 * 16 = 4 * 8 and 2 * 4 = 8 reaching one product
+    by two subsets, over sets whose masks they may or may not divide."""
+    entries = draw(
+        st.sets(st.sampled_from([2, 4, 8, 16, 3, 9]), max_size=5).filter(
+            lambda e: math.prod(e) <= 1024
+        )
+    )
+    # Phi_s divides 1 + x + ... + x**(k - 1) exactly when s | k: every
+    # product divides the product of all entries, every coprime one the lcm
+    top = math.prod(entries)
+    sizes = st.sampled_from([top, math.lcm(*entries)]) | st.sampled_from(
+        [k for k in range(1, top + 1) if top % k == 0]
+    )
+    values = sizes.map(range) if draw(st.booleans()) else raw_sets | progression_sums()
+    return tuple(entries), tuple(draw(values))
+
+
+class TestT2ByDistinctProducts:
+    """(T2) tests each distinct product of support entries once."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(hand_built_records())
+    def test_hand_built_records_match_definition(self, record):
+        # entries need not divide the mask: the readings test them anyway
+        supp = cyclotomic.PrimePowerSupport(*record)
+        relaxed, strict = t2_by_definition(supp, False), t2_by_definition(supp, True)
+        assert (supp.t2(), supp.t2(strict=True)) == (relaxed, strict)
+
+    @pytest.mark.parametrize(
+        "entries, values, expected",
+        [
+            # Phi_s divides 1 + x + ... + x**(k - 1) exactly when s | k
+            ((2, 4, 8, 16), range(32), (True, False)),  # 4 * 16 = 64 does not divide
+            ((2, 4, 8, 16), range(1024), (True, True)),
+            ((2, 3, 4), range(12), (True, False)),  # 2 * 4 = 8 does not divide
+            ((2, 3, 4), range(24), (True, True)),
+            ((2, 3, 9), range(12), (False, False)),  # 2 * 9 = 18 does not divide
+            # mask Phi_16 * Phi_32 * Phi_64: 2 * 4 reaches the entry 8, untested alone
+            ((2, 4, 8), range(0, 64, 8), (True, False)),
+        ],
+    )
+    def test_hand_built_examples(self, entries, values, expected):
+        supp = cyclotomic.PrimePowerSupport(entries, tuple(values))
+        assert (supp.t2(), supp.t2(strict=True)) == expected
+
+    def test_one_divisibility_test_per_distinct_product(self, monkeypatch):
+        d = gen_weak_product_form([0, 1], [0, 2], 6, {(1, 2): 1})
+        _, dec = least_stage(d, 6)
+        tested, divides_once = [], cyclotomic.divides
+
+        def counted(s, a):
+            tested.append(s)
+            return divides_once(s, a)
+
+        monkeypatch.setattr(cyclotomic, "divides", counted)
+        for part in dec.supports:
+            supp = support(part)
+            products = {
+                math.prod(combo)
+                for k in range(2, len(supp) + 1)
+                for combo in combinations(supp.entries, k)
+            }
+            tested.clear()
+            supp.t2(), supp.t2(strict=True)
+            assert len(tested) == len(set(tested)) and set(tested) <= products
+        assert len(supp) == 6 and len(products) < 2**6 - 6 - 1
 
 
 class TestConditions:

@@ -1,6 +1,7 @@
 """Hadamard triples and assembled spectral data."""
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -223,18 +224,23 @@ class TestBuildSpectralData:
             is_hadamard(n, [x + u for x in dec.A for u in b], sums) for b in dec.Bs
         )
 
-    def test_two_pair_scans_whatever_the_blocks(self, monkeypatch):
-        from tilescope import spectral
+    def test_no_pair_scan_and_no_divisibility_test(self, monkeypatch):
+        from tilescope import cyclotomic, spectral
 
         d = gen_weak_product_form([0, 1], [0, 2], 4, {(1, 2): 1})
         _, dec = least_stage(d, 4)
         assert len(set(dec.Bs)) == 16
-        scanned, orders = [], spectral._orders
-        monkeypatch.setattr(
-            spectral, "_orders", lambda n, ell: scanned.append(len(ell)) or orders(n, ell)
-        )
-        assert build_spectral_data(dec).all_ok
-        assert sorted(scanned) == [16, 16]
+        for supp in dec.supports.values():
+            supp.t2()  # the records decide (T2) before the spectral layer reads it
+
+        def no_test(*args):
+            raise AssertionError("build_spectral_data decided a verdict a second time")
+
+        monkeypatch.setattr(spectral, "is_hadamard", no_test)
+        monkeypatch.setattr(spectral, "divides", no_test)
+        monkeypatch.setattr(cyclotomic, "divides", no_test)
+        rep = build_spectral_data(dec)
+        assert rep.hadamard_a and rep.hadamard_b == (True,) * 16 and rep.all_ok
 
     def test_product_form(self):
         rep = build_spectral_data(skew_decompose({0, 1, 8, 9}, 4, 1))
@@ -303,6 +309,12 @@ class TestTruncatedSpectrum:
     def test_level_cap(self):
         with pytest.raises(ValueError, match="over the cap"):
             truncated_spectrum([0, 1], 2, [0, 1], 20)
+
+    def test_huge_level_capped_without_its_power(self):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="over the cap"):
+            truncated_spectrum([0, 1], 2, [0, 1], 10**11)
+        assert time.perf_counter() - start < 2
 
 
 class TestResidualScale:
