@@ -5,141 +5,46 @@ residue-class (skew product form) decompositions of digit expansions,
 runs the cyclotomic (T1)/(T2) machinery with explicit spectra, verifies
 Hadamard-triple spectral data, and bounds tile measure by exact interval
 covers.  No floating point in any decision path.
+
+Every public name is listed once, in ``_EXPORTS`` under the module that
+defines it, and is imported on first access (PEP 562): ``import tilescope``
+loads none of the modules, and a name costs only its own module's import.
 """
 
-from .core import (
-    DigitSet,
-    ExpandedDigits,
-    ExpansionLimitError,
-    PeriodicSet,
-    direct_sum_complete,
-    expand,
-    max_expansion_level,
-    normalize,
-    residues_mod,
-)
-from .cyclotomic import (
-    IntPolynomial,
-    PrimePowerSupport,
-    RationalSpectrum,
-    check_t1,
-    check_t2,
-    cyclotomic_poly,
-    divides,
-    divides_oracle,
-    euler_phi,
-    laba_spectrum,
-    mask_poly,
-    prime_power_root,
-    support,
-    vanishes_at,
-)
-from .geometry import (
-    IntervalUnion,
-    MeasureReport,
-    approx,
-    approx_oracle,
-    covers,
-    hull,
-    intervals_json,
-    intervals_json_text,
-    measure_report,
-    tower_svg,
-)
-from .report import analyze_digit_set, report_to_json
-from .skewform import (
-    SkewDecomposition,
-    gen_product_form,
-    gen_weak_product_form,
-    least_stage,
-    lift_stage,
-    skew_decompose,
-    verify_decomposition,
-)
-from .spectral import (
-    AnLaiReport,
-    SpectralConditionError,
-    build_spectral_data,
-    is_hadamard,
-    truncated_spectrum,
-    unitarity_residual,
-)
-from .tiling import (
-    CarryAutomaton,
-    ReplicatingChain,
-    TileWitness,
-    collision_level,
-    collision_oracle,
-    is_tile,
-    is_tile_oracle,
-    replicating_chain,
-    self_replicating_tiling,
-    stabilization_exponent,
-    tile_measure,
-    verify_self_replicating,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AnLaiReport",
-    "CarryAutomaton",
-    "DigitSet",
-    "ExpandedDigits",
-    "ExpansionLimitError",
-    "IntPolynomial",
-    "IntervalUnion",
-    "MeasureReport",
-    "PeriodicSet",
-    "PrimePowerSupport",
-    "RationalSpectrum",
-    "SkewDecomposition",
-    "SpectralConditionError",
-    "TileWitness",
-    "ReplicatingChain",
-    "analyze_digit_set",
-    "approx",
-    "approx_oracle",
-    "build_spectral_data",
-    "check_t1",
-    "check_t2",
-    "collision_level",
-    "collision_oracle",
-    "covers",
-    "cyclotomic_poly",
-    "direct_sum_complete",
-    "divides",
-    "divides_oracle",
-    "euler_phi",
-    "expand",
-    "gen_product_form",
-    "gen_weak_product_form",
-    "hull",
-    "intervals_json",
-    "intervals_json_text",
-    "is_hadamard",
-    "is_tile",
-    "is_tile_oracle",
-    "laba_spectrum",
-    "least_stage",
-    "lift_stage",
-    "mask_poly",
-    "max_expansion_level",
-    "measure_report",
-    "normalize",
-    "prime_power_root",
-    "replicating_chain",
-    "report_to_json",
-    "residues_mod",
-    "self_replicating_tiling",
-    "skew_decompose",
-    "stabilization_exponent",
-    "support",
-    "tile_measure",
-    "tower_svg",
-    "truncated_spectrum",
-    "unitarity_residual",
-    "vanishes_at",
-    "verify_decomposition",
-    "verify_self_replicating",
-]
+# home module -> the public names it defines
+_EXPORTS = {
+    "core": "DigitSet ExpandedDigits ExpansionLimitError PeriodicSet direct_sum_complete "
+    "expand max_expansion_level normalize residues_mod",
+    "cyclotomic": "IntPolynomial PrimePowerSupport RationalSpectrum check_t1 check_t2 "
+    "cyclotomic_poly divides divides_oracle euler_phi laba_spectrum mask_poly "
+    "prime_power_root support vanishes_at",
+    "geometry": "IntervalUnion MeasureReport approx approx_oracle covers hull intervals_json "
+    "intervals_json_text measure_report tower_svg",
+    "report": "analyze_digit_set report_to_json",
+    "skewform": "SkewDecomposition gen_product_form gen_weak_product_form least_stage "
+    "lift_stage skew_decompose verify_decomposition",
+    "spectral": "AnLaiReport SpectralConditionError build_spectral_data is_hadamard "
+    "truncated_spectrum unitarity_residual",
+    "tiling": "CarryAutomaton ReplicatingChain TileWitness collision_level collision_oracle "
+    "is_tile is_tile_oracle replicating_chain self_replicating_tiling "
+    "stabilization_exponent tile_measure verify_self_replicating",
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:  # a submodule, bound here once imported
+        return import_module(f".{name}", __name__)
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{_HOME[name]}", __name__), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_EXPORTS})

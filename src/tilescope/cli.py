@@ -33,19 +33,13 @@ import sys
 from itertools import combinations
 from typing import Any, TextIO
 
-from .core import DigitSet, _check_level
-from .geometry import covers, intervals_json_text, tower_svg
-from .report import (
-    EXIT_OK,
-    EXIT_USAGE,
-    analyze_digit_set,
-    render_text,
-    report_to_json,
-)
+from .core import EXIT_OK, EXIT_USAGE, DigitSet, _check_level
 from .skewform import least_stage
 from .tiling import collision_level
 
 MAX_SEARCH_SETS = 500_000
+MAX_SEARCH_BASE = 12
+MAX_SEARCH_BOUND = 64
 # Largest ``render`` width and height: far past any display, far inside the
 # float range the SVG coordinates are computed in
 MAX_CANVAS = 1_000_000
@@ -104,16 +98,14 @@ def _search_record(args: tuple[tuple[int, ...], int, int]) -> dict[str, Any]:
     }
 
 
-def _check_search(
-    base: int, bound: int, m_max: int, max_base: int = 12, max_bound: int = 64
-) -> None:
+def _check_search(base: int, bound: int, m_max: int) -> None:
     """Reject bad arguments and a corpus over the cap, before any set is listed."""
     if base < 2:
         raise ValueError(f"base must be >= 2, got {base}")
-    if base > max_base:
-        raise ValueError(f"search base {base} exceeds the default cap {max_base}")
-    if bound > max_bound:
-        raise ValueError(f"search bound {bound} exceeds the default cap {max_bound}")
+    if base > MAX_SEARCH_BASE:
+        raise ValueError(f"search base {base} exceeds the default cap {MAX_SEARCH_BASE}")
+    if bound > MAX_SEARCH_BOUND:
+        raise ValueError(f"search bound {bound} exceeds the default cap {MAX_SEARCH_BOUND}")
     if m_max < 1:
         raise ValueError(f"m_max must be >= 1, got {m_max}")
     count = count_normalized(base, bound)
@@ -125,14 +117,9 @@ def _check_search(
 
 
 def run_search(
-    base: int,
-    bound: int,
-    m_max: int,
-    workers: int,
-    max_base: int = 12,
-    max_bound: int = 64,
+    base: int, bound: int, m_max: int, workers: int
 ) -> tuple[list[dict[str, Any]], dict[str, Any]]:
-    _check_search(base, bound, m_max, max_base, max_bound)
+    _check_search(base, bound, m_max)
     corpus = enumerate_normalized(base, bound)
     # D and its reflection max D - D share every field but the digits, and
     # the smaller of the two comes first in corpus order: classify that one
@@ -170,6 +157,9 @@ def run_search(
 
 
 def _cmd_analyze(args: argparse.Namespace, out: TextIO) -> int:
+    # report, and the spectral layer under it, load only when analyze runs
+    from .report import analyze_digit_set, render_text, report_to_json
+
     report, code = analyze_digit_set(
         args.base,
         _parse_digits(args.digits),
@@ -244,6 +234,8 @@ def _cmd_render(args: argparse.Namespace, out: TextIO) -> int:
         )
     # cap, then --out, then covers: a failed check neither truncates --out nor costs work
     _check_level(d.base, args.k)
+    from .geometry import covers, intervals_json_text, tower_svg  # search never loads it
+
     sink = open(args.out, "w") if args.out else out
     try:
         unions = covers(d, args.k)

@@ -83,6 +83,12 @@ def frozen(cls):
     return cls
 
 
+# Exit codes of every command: a completed analysis, a usage error, and no
+# skew stage up to --mmax
+EXIT_OK = 0
+EXIT_USAGE = 2
+EXIT_INCONCLUSIVE = 3
+
 # Cap on the number of formal digit strings an expansion may touch.
 # Python integers never wrap, so the only failure mode is unbounded work;
 # this keeps it an explicit, early error.

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tilescope import cli, tiling
+from tilescope import cli, geometry, tiling
 from tilescope.cli import (
     build_parser,
     count_normalized,
@@ -171,6 +171,16 @@ class TestAnalyze:
         assert report["spectral"]["modulus"] == 256
         assert report["spectral"]["all_ok"] is True
 
+    def test_decomposition_is_not_verified_again(self, capsys, monkeypatch):
+        def no_check(*args):
+            raise AssertionError("analyze re-verified the decomposition least_stage built")
+
+        for module in ("report", "skewform"):
+            monkeypatch.setattr(f"tilescope.{module}.verify_decomposition", no_check, raising=False)
+        code, out, _ = run_cli(capsys, "analyze", "-b", "12", "-d", TWELVE, "--json")
+        assert code == 0
+        assert json.loads(out)["decomposition"]["verified"] is True
+
     def test_round_trip(self):
         report, _ = analyze_digit_set(12, [int(x) for x in TWELVE.split(",")])
         assert json.loads(report_to_json(report)) == report
@@ -268,13 +278,14 @@ class TestSearch:
         assert code == 0 and out == ""
         assert "summary" in path.read_text().strip().split("\n")[-1]
 
-    def test_default_caps(self, capsys):
+    def test_default_caps(self, capsys, monkeypatch):
         assert run_cli(capsys, "search", "-b", "13", "--bound", "14")[0] == 2
         assert run_cli(capsys, "search", "-b", "3", "--bound", "65")[0] == 2
         with pytest.raises(ValueError, match="exceeds the default cap"):
             run_search(13, 14, 4, workers=1)
-        records, _ = run_search(13, 14, 4, workers=1, max_base=13)
-        assert records  # configurable override
+        monkeypatch.setattr(cli, "MAX_SEARCH_BASE", 13)
+        records, _ = run_search(13, 14, 4, workers=1)
+        assert records  # the cap is the one constant
 
     def test_stage_bound_checked(self, capsys):
         code, out, err = run_cli(capsys, "search", "-b", "3", "--bound", "9", "--mmax", "0")
@@ -470,7 +481,7 @@ class TestRender:
         def no_work(*args):
             raise AssertionError("the covers were built before --out was opened")
 
-        monkeypatch.setattr(cli, "covers", no_work)
+        monkeypatch.setattr(geometry, "covers", no_work)
         path = tmp_path / "missing" / "tower.json"
         code, out, err = run_cli(
             capsys, "render", "-b", "3", "-d", "0,1,11", "-k", "15",

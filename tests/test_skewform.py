@@ -416,7 +416,11 @@ class TestLeastStageOracle:
     )
     def test_matches_expansion(self, d, m_max, cap_level):
         expected = outcome(least_stage_by_expansion, d, m_max)
-        assert outcome(least_stage, d, m_max) == expected
+        found = outcome(least_stage, d, m_max)
+        assert found == expected
+        if isinstance(found, tuple) and isinstance(found[1], SkewDecomposition):
+            level, dec = found  # what ``analyze`` reports as verified, unchecked
+            assert verify_decomposition(dec, level.values)
         assert outcome(least_stage, d, m_max, collision_level(d)) == expected
         with pytest.MonkeyPatch.context() as mp:
             # levels above cap_level are over the work cap

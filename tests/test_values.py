@@ -2,8 +2,9 @@
 
 Every value class is built by :func:`tilescope.core.frozen`; each test
 here builds a frozen dataclass of the same shape (fields, ``__post_init__``
-and name) and asks both for the same behaviour.  The last test checks that
-importing the CLI does not import ``dataclasses`` at all.
+and name) and asks both for the same behaviour.  The last tests check the
+package's export table, that importing the CLI does not import
+``dataclasses`` at all, and which modules each command loads.
 """
 
 import pickle
@@ -15,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+import tilescope
 import tilescope.skewform
 from tilescope import (
     DigitSet,
@@ -200,17 +202,89 @@ class TestCachedProperty:
         assert len(calls) == 2 * once
 
 
-def test_cli_import_skips_dataclasses_and_inspect():
-    # -S keeps site-packages and .pth files from importing either first
+# the names ``tilescope`` exported when its ``__init__`` imported every module
+EXPORTS = set(
+    """AnLaiReport CarryAutomaton DigitSet ExpandedDigits ExpansionLimitError
+    IntPolynomial IntervalUnion MeasureReport PeriodicSet PrimePowerSupport
+    RationalSpectrum ReplicatingChain SkewDecomposition SpectralConditionError
+    TileWitness analyze_digit_set approx approx_oracle build_spectral_data check_t1
+    check_t2 collision_level collision_oracle covers cyclotomic_poly
+    direct_sum_complete divides divides_oracle euler_phi expand gen_product_form
+    gen_weak_product_form hull intervals_json intervals_json_text is_hadamard
+    is_tile is_tile_oracle laba_spectrum least_stage lift_stage mask_poly
+    max_expansion_level measure_report normalize prime_power_root
+    replicating_chain report_to_json residues_mod self_replicating_tiling
+    skew_decompose stabilization_exponent support tile_measure tower_svg
+    truncated_spectrum unitarity_residual vanishes_at verify_decomposition
+    verify_self_replicating""".split()
+)
+
+
+class TestExportTable:
+    def test_names_are_kept(self):
+        assert len(EXPORTS) == len(tilescope.__all__) == 60
+        assert set(tilescope.__all__) == EXPORTS
+        assert tilescope.__version__ == "0.1.0"
+
+    @pytest.mark.parametrize("name", sorted(EXPORTS))
+    def test_name_is_its_home_binding(self, name):
+        value = getattr(tilescope, name)
+        assert value.__module__.startswith("tilescope.")
+        assert vars(sys.modules[value.__module__])[name] is value
+        assert getattr(tilescope, name) is value
+
+    def test_star_import_binds_every_name(self):
+        namespace: dict = {}
+        exec("from tilescope import *", namespace)
+        assert set(namespace) - {"__builtins__"} == EXPORTS
+
+    def test_unknown_name_and_dir(self):
+        with pytest.raises(AttributeError, match="has no attribute 'nope'"):
+            tilescope.nope
+        assert EXPORTS <= set(dir(tilescope))
+
+
+LAYERS = {"core", "cyclotomic", "geometry", "report", "skewform", "spectral", "tiling"}
+
+
+def loaded_by(statements: str) -> set[str]:
+    """The modules a fresh interpreter holds after ``statements``."""
+    # -S keeps site-packages and .pth files from importing any of them first;
+    # the list goes to stderr, past the command's own output
     code = (
-        f"import sys; sys.path.insert(0, {str(SRC)!r}); import tilescope.cli; "
-        "print(' '.join(sorted({'dataclasses', 'inspect'} & set(sys.modules))))"
+        f"import sys; sys.path.insert(0, {str(SRC)!r}); {statements}; "
+        "print(' '.join(sys.modules), file=sys.stderr)"
     )
-    out = subprocess.run(
+    done = subprocess.run(
         [sys.executable, "-S", "-c", code],
         capture_output=True,
         text=True,
         check=True,
         timeout=60,
     )
-    assert out.stdout.strip() == ""
+    return set(done.stderr.split())
+
+
+def test_cli_import_skips_dataclasses_and_inspect():
+    assert not {"dataclasses", "inspect"} & loaded_by("import tilescope.cli")
+
+
+MAIN = "import tilescope.cli; tilescope.cli.main({})"
+
+
+@pytest.mark.parametrize(
+    "statements, absent",
+    [
+        ("import tilescope", LAYERS | {"cli"}),
+        ("from tilescope import covers", {"cli", "cyclotomic", "report", "skewform", "spectral"}),
+        ("import tilescope; tilescope.spectral", {"cli", "geometry", "report"}),
+        ("import tilescope.cli; tilescope.cli.build_parser()", {"report", "spectral", "geometry"}),
+        (MAIN.format("['render', '-b', '3', '-d', '0,1,11', '-k', '3']"), {"report", "spectral"}),
+        (MAIN.format("['search', '-b', '3', '--bound', '9']"), {"report", "spectral", "geometry"}),
+        (MAIN.format("['analyze', '-b', '4', '-d', '0,1,8,9']"), set()),
+    ],
+    ids=["package", "name", "submodule", "parser", "render", "search", "analyze"],
+)
+def test_each_command_loads_only_its_layers(statements, absent):
+    loaded = {name for name in loaded_by(statements) if name.startswith("tilescope.")}
+    assert loaded == {f"tilescope.{name}" for name in (LAYERS | {"cli"}) - absent}
