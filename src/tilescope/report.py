@@ -6,10 +6,11 @@ stopping early where a stage rules the rest out and recording the
 stopping stage machine-readably.  The least stage m and the
 decomposition of D_m come from :func:`~tilescope.skewform.least_stage`,
 the one stage finder that ``search`` uses as well; the tiling set is
-built from the same level-m values, and the cyclotomic flags from the
-supports the decomposition holds for the spectral data as well.  The
-returned report is a plain JSON-compatible dict with deterministic key
-order and content: identical inputs give byte-identical serializations.
+built from the decomposition's class representatives A, and the
+cyclotomic flags from the supports the decomposition holds for the
+spectral data as well.  The returned report is a plain JSON-compatible
+dict with deterministic key order and content: identical inputs give
+byte-identical serializations.
 
 Schema evolution is additive only; field names are documented in the
 README and pinned by the test suite.
@@ -151,7 +152,9 @@ def analyze_digit_set(
         return report, EXIT_INCONCLUSIVE
 
     level, dec = found
-    j = _tiling_set(d, level)
+    # each block a_j + b**m * B_j lies in the class of a_j mod b**m, so
+    # D_m + b**m * Z = A + b**m * Z
+    j = _tiling_set(d, dec.A, level.level)
     report["tiling_set"] = {
         "period": j.period,
         "residues": list(j.residues),

@@ -19,7 +19,7 @@ from __future__ import annotations
 from itertools import product
 from operator import ge
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .core import (
     DigitSet,
@@ -31,8 +31,10 @@ from .core import (
     residue_mask,
     translates_cover_exactly,
 )
-from .cyclotomic import PrimePowerSupport, support
 from .tiling import collision_level
+
+if TYPE_CHECKING:
+    from .cyclotomic import PrimePowerSupport
 
 
 @frozen
@@ -86,6 +88,9 @@ class SkewDecomposition:
     @cached_property
     def supports(self) -> dict[tuple[int, ...], PrimePowerSupport]:
         """The support of A and of each distinct B_j, keyed by the part; built once."""
+        # imported here, so that search, which never asks, loads no cyclotomic
+        from .cyclotomic import support
+
         return {part: support(part) for part in dict.fromkeys((self.A, *self.Bs))}
 
 

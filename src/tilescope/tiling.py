@@ -26,7 +26,6 @@ from functools import cached_property
 
 from .core import (
     DigitSet,
-    ExpandedDigits,
     ExpansionLimitError,
     PeriodicSet,
     expand,
@@ -476,16 +475,14 @@ def self_replicating_tiling(d: DigitSet, m: int) -> PeriodicSet:
     Requires m to be a stabilization exponent; the result is re-verified
     and a non-stabilizing m is rejected.
     """
-    return _tiling_set(d, expand(d, m))
+    return _tiling_set(d, expand(d, m).values, m)
 
 
-def _tiling_set(d: DigitSet, level: ExpandedDigits) -> PeriodicSet:
-    """``level.values + b**level * Z`` reduced, verified self-replicating."""
-    j = PeriodicSet.from_values(level.values, d.base**level.level).reduce()
+def _tiling_set(d: DigitSet, values: tuple[int, ...], m: int) -> PeriodicSet:
+    """``values + b**m * Z`` reduced, verified self-replicating."""
+    j = PeriodicSet.from_values(values, d.base**m).reduce()
     if not verify_self_replicating(j, d):
-        raise ValueError(
-            f"m={level.level} is not a stabilization exponent for {list(d.digits)}"
-        )
+        raise ValueError(f"m={m} is not a stabilization exponent for {list(d.digits)}")
     return j
 
 

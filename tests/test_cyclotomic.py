@@ -235,8 +235,9 @@ class TestSupportOnce:
             calls.append(tuple(a))
             return support(a)
 
-        # every pipeline module that binds it, the decomposition's included
-        for module in ("cyclotomic", "report", "skewform"):
+        # every pipeline module that binds it; the decomposition imports it
+        # from cyclotomic when it builds its supports
+        for module in ("cyclotomic", "report"):
             monkeypatch.setattr(f"tilescope.{module}.support", counted)
         report, _ = analyze_digit_set(base, digits)
         cyclo = report["cyclotomic"]

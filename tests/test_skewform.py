@@ -28,6 +28,7 @@ from tilescope import (
     verify_decomposition,
 )
 from tilescope.cli import enumerate_normalized
+from tilescope.tiling import _tiling_set
 
 TWELVE = (0, 1, 4, 8, 9, 17, 25, 33, 41, 72, 76, 80)
 
@@ -421,6 +422,9 @@ class TestLeastStageOracle:
         if isinstance(found, tuple) and isinstance(found[1], SkewDecomposition):
             level, dec = found  # what ``analyze`` reports as verified, unchecked
             assert verify_decomposition(dec, level.values)
+            # ``analyze`` builds the tiling set from A: block j is
+            # a_j + b**m * B_j, so D_m + b**m * Z = A + b**m * Z
+            assert _tiling_set(d, dec.A, level.level) == _tiling_set(d, level.values, level.level)
         assert outcome(least_stage, d, m_max, collision_level(d)) == expected
         with pytest.MonkeyPatch.context() as mp:
             # levels above cap_level are over the work cap

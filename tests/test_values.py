@@ -278,9 +278,9 @@ MAIN = "import tilescope.cli; tilescope.cli.main({})"
         ("import tilescope", LAYERS | {"cli"}),
         ("from tilescope import covers", {"cli", "cyclotomic", "report", "skewform", "spectral"}),
         ("import tilescope; tilescope.spectral", {"cli", "geometry", "report"}),
-        ("import tilescope.cli; tilescope.cli.build_parser()", {"report", "spectral", "geometry"}),
-        (MAIN.format("['render', '-b', '3', '-d', '0,1,11', '-k', '3']"), {"report", "spectral"}),
-        (MAIN.format("['search', '-b', '3', '--bound', '9']"), {"report", "spectral", "geometry"}),
+        ("import tilescope.cli; tilescope.cli.build_parser()", {"cyclotomic", "report", "spectral", "geometry"}),
+        (MAIN.format("['render', '-b', '3', '-d', '0,1,11', '-k', '3']"), {"cyclotomic", "report", "spectral"}),
+        (MAIN.format("['search', '-b', '3', '--bound', '9']"), {"cyclotomic", "report", "spectral", "geometry"}),
         (MAIN.format("['analyze', '-b', '4', '-d', '0,1,8,9']"), set()),
     ],
     ids=["package", "name", "submodule", "parser", "render", "search", "analyze"],
