@@ -234,15 +234,17 @@ def _cmd_render(args: argparse.Namespace, out: TextIO) -> int:
         )
     # cap, then --out, then covers: a failed check neither truncates --out nor costs work
     _check_level(d.base, args.k)
-    from .geometry import covers, intervals_json_text, tower_svg  # search never loads it
+    # search never loads geometry
+    from .geometry import iter_covers, write_intervals_json, write_tower_svg
 
     sink = open(args.out, "w") if args.out else out
     try:
-        unions = covers(d, args.k)
+        # one level and one slice of its text in memory at a time
+        levels = iter_covers(d, args.k)
         if args.format == "svg":
-            sink.write(tower_svg(d, unions, width=args.width, height=args.height))
+            write_tower_svg(d, levels, args.k, sink, width=args.width, height=args.height)
         else:
-            sink.write(intervals_json_text(d, unions))
+            write_intervals_json(d, levels, args.k, sink)
     finally:
         if args.out:
             sink.close()

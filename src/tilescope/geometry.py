@@ -14,26 +14,39 @@ Endpoints are integer numerators over the common denominator
 lengths are non-increasing, and for a tile they never undershoot the
 exact measure ``1 / density`` of a verified tiling set.
 
-Both writers work from those integer bounds.  ``intervals_json_text``
+``iter_covers`` yields the levels one by one and keeps only the newest;
+``covers`` is the list of them.  The two writers stream: each takes the
+levels, their count and a text sink, and writes the header, then each
+level in slices of ``_SLICE`` intervals, then the footer, so neither the
+tower nor the document has to be whole in memory.  ``write_intervals_json``
 fills one text template per interval, with each endpoint reduced by one
 ``gcd``, and gives the bytes of ``json.dumps(intervals_json(...),
 indent=2)``; the dict view ``intervals_json`` is its test oracle.
-``tower_svg`` fills one rectangle template per band, with coordinates
-from one correctly rounded ``int / int`` division per endpoint, the only
-floats in this module.
+``write_tower_svg`` fills one rectangle template per band, with
+coordinates from one correctly rounded ``int / int`` division per
+endpoint, the only floats in this module.  ``intervals_json_text`` and
+``tower_svg`` are their string forms, written to an ``io.StringIO``.
 """
 
 from __future__ import annotations
 
+import io
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
+from typing import TextIO
 
 from .core import DigitSet, PeriodicSet, _check_level, frozen
 from .tiling import tile_measure
 
 Interval = tuple[Fraction, Fraction]
 Bounds = tuple[int, int]
+
+# Intervals formatted into one string and written at a time: about 40 KB
+# of text, enough to amortise the write.  Slices of 2048 (about 170 KB)
+# left the render benchmark's peak RSS about 1 MB higher.
+_SLICE = 512
 
 
 @frozen
@@ -93,30 +106,39 @@ def _merge(pieces: list[Bounds]) -> tuple[Bounds, ...]:
     return tuple(merged)
 
 
-def covers(d: DigitSet, k_max: int) -> list[IntervalUnion]:
+def iter_covers(d: DigitSet, k_max: int) -> Iterator[IntervalUnion]:
     """Outer covers of levels ``1..k_max``, each built from the one before.
 
-    The work cap of :func:`~tilescope.core.expand` (``b**k_max`` within
+    Only the newest level is kept: the previous one is dropped as soon as
+    the caller lets go of it.  The work cap of
+    :func:`~tilescope.core.expand` (``b**k_max`` within
     ``MAX_EXPANSION_TERMS``) is checked before level 1 is built.
     """
     if k_max < 1:
-        return []
+        return
     _check_level(d.base, k_max)
     den = d.base - 1
     bounds: tuple[Bounds, ...] = ((d.digits[0], d.digits[-1]),)
-    unions = []
     for level in range(1, k_max + 1):
         shifts = [digit * den for digit in d.digits]
-        bounds = _merge(sorted([(lo + s, hi + s) for s in shifts for lo, hi in bounds]))
+        pieces = [(lo + s, hi + s) for s in shifts for lo, hi in bounds]
+        pieces.sort()
+        bounds = _merge(pieces)
         den *= d.base
-        unions.append(IntervalUnion(level, den, bounds))
-    return unions
+        yield IntervalUnion(level, den, bounds)
+
+
+def covers(d: DigitSet, k_max: int) -> list[IntervalUnion]:
+    """Every level of :func:`iter_covers`, in a list."""
+    return list(iter_covers(d, k_max))
 
 
 def approx(d: DigitSet, level: int) -> IntervalUnion:
     """Level-``level`` outer cover: one hull copy per expansion value, merged."""
     _check_level(d.base, level)
-    return covers(d, level)[-1]
+    for union in iter_covers(d, level):
+        pass
+    return union
 
 
 def approx_oracle(d: DigitSet, level: int) -> IntervalUnion:
@@ -153,7 +175,7 @@ def measure_report(
     """Lengths of the level-1..k_max covers, with the 1/density target if given."""
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
-    lengths = tuple(u.total_length for u in covers(d, k_max))
+    lengths = tuple(u.total_length for u in iter_covers(d, k_max))
     target = None if tiling_set is None else tile_measure(tiling_set)
     return MeasureReport(lengths, target)
 
@@ -166,7 +188,7 @@ def _reduced(n: int, den: int) -> tuple[int, int]:
 def intervals_json(d: DigitSet, unions: list[IntervalUnion]) -> dict:
     """JSON-ready structure: per level, intervals as [lo_num, lo_den, hi_num, hi_den].
 
-    The dict view of :func:`intervals_json_text`, and its test oracle.
+    The dict view of :func:`write_intervals_json`, and its test oracle.
     """
     return {
         "base": d.base,
@@ -188,84 +210,110 @@ def intervals_json(d: DigitSet, unions: list[IntervalUnion]) -> dict:
     }
 
 
-# The layout of json.dumps(intervals_json(...), indent=2), one template per
-# nesting depth; an empty list is written "[]" there as well.
+# The layout of json.dumps(intervals_json(...), indent=2); an empty list
+# is written "[]" at every depth
 _JSON_INTERVAL = (
     "        [\n          %d,\n          %d,\n          %d,\n          %d\n        ]"
 )
-_JSON_LEVEL = (
-    '    {\n      "k": %d,\n      "intervals": %s,\n'
-    '      "total_length": [\n        %d,\n        %d\n      ]\n    }'
-)
+_JSON_TOTAL = ',\n      "total_length": [\n        %d,\n        %d\n      ]\n    }'
 
 
-def _json_list(items: list[str], indent: str) -> str:
-    return "[\n" + ",\n".join(items) + "\n" + indent + "]" if items else "[]"
+def write_intervals_json(
+    d: DigitSet, levels: Iterable[IntervalUnion], count: int, sink: TextIO
+) -> None:
+    """Write ``json.dumps(intervals_json(d, list(levels)), indent=2) + "\\n"``.
+
+    ``count`` is the number of levels.  Each endpoint is reduced by one
+    ``gcd`` and formatted into a template, so neither the dict view nor the
+    pure-Python indented encoder runs; one slice of intervals is text at a
+    time.
+    """
+    digits = ",\n".join(["    %d" % x for x in d.digits])
+    sink.write(
+        '{\n  "base": %d,\n  "digits": [\n%s\n  ],\n  "levels": %s'
+        % (d.base, digits, "[\n" if count else "[]")
+    )
+    level_sep = ""
+    for u in levels:
+        sink.write('%s    {\n      "k": %d,\n      "intervals": ' % (level_sep, u.level))
+        level_sep = ",\n"
+        den, bounds, sep = u.denominator, u.bounds, "[\n"
+        for start in range(0, len(bounds), _SLICE):
+            sink.write(sep)
+            sink.write(",\n".join([
+                _JSON_INTERVAL
+                % (lo // (g := gcd(lo, den)), den // g, hi // (h := gcd(hi, den)), den // h)
+                for lo, hi in bounds[start : start + _SLICE]
+            ]))
+            sep = ",\n"
+        length = u.total_length
+        sink.write(
+            ("\n      ]" if bounds else "[]") + _JSON_TOTAL % (length.numerator, length.denominator)
+        )
+    sink.write("\n  ]\n}\n" if count else "\n}\n")
 
 
 def intervals_json_text(d: DigitSet, unions: list[IntervalUnion]) -> str:
-    """``json.dumps(intervals_json(d, unions), indent=2) + "\\n"``, written directly.
-
-    Each endpoint is reduced by one ``gcd`` and formatted into a template,
-    so neither the dict view nor the pure-Python indented encoder runs.
-    """
-    levels = []
-    for u in unions:
-        den = u.denominator
-        intervals = [
-            _JSON_INTERVAL
-            % (lo // (g := gcd(lo, den)), den // g, hi // (h := gcd(hi, den)), den // h)
-            for lo, hi in u.bounds
-        ]
-        length = u.total_length
-        levels.append(
-            _JSON_LEVEL
-            % (u.level, _json_list(intervals, "      "), length.numerator, length.denominator)
-        )
-    digits = _json_list(["    %d" % x for x in d.digits], "  ")
-    return '{\n  "base": %d,\n  "digits": %s,\n  "levels": %s\n}\n' % (
-        d.base,
-        digits,
-        _json_list(levels, "  "),
-    )
+    """:func:`write_intervals_json` of ``unions``, as a string."""
+    sink = io.StringIO()
+    write_intervals_json(d, unions, len(unions), sink)
+    return sink.getvalue()
 
 
-def tower_svg(
-    d: DigitSet, unions: list[IntervalUnion], width: int = 800, height: int = 400
-) -> str:
-    """Static SVG 1.1 tower plot: one horizontal band per level.
+def write_tower_svg(
+    d: DigitSet,
+    levels: Iterable[IntervalUnion],
+    count: int,
+    sink: TextIO,
+    width: int = 800,
+    height: int = 400,
+) -> None:
+    """Write a static SVG 1.1 tower plot: one horizontal band per level.
 
-    The x axis is linear over the hull; each interval becomes one
-    rectangle in its level's band.
+    ``count`` is the number of levels, which fixes the band height.  The x
+    axis is linear over the hull; each interval becomes one rectangle in
+    its level's band, and one slice of rectangles is text at a time.
     """
     margin = 40
     plot_w = width - 2 * margin
-    band_h = (height - 2 * margin) / max(len(unions), 1)
+    band_h = (height - 2 * margin) / max(count, 1)
     bm1 = d.base - 1
 
-    parts = [
+    sink.write(
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
-    ]
-    for row, u in enumerate(unions):
+        f'viewBox="0 0 {width} {height}">\n'
+        f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>\n'
+    )
+    for row, u in enumerate(levels):
         # x = margin + (n / den - min/(b-1)) / (span/(b-1)) * plot_w, with one
         # exact int/int division, which rounds correctly like float(Fraction).
         origin = d.digits[0] * u.denominator
         scale = d.span * u.denominator
         y = margin + row * band_h
-        parts.append(
+        sink.write(
             f'<text x="{margin - 32:.2f}" y="{y + band_h / 2:.2f}" '
-            f'font-size="12" dominant-baseline="middle">k={u.level}</text>'
+            f'font-size="12" dominant-baseline="middle">k={u.level}</text>\n'
         )
-        rect = '<rect x="%%.2f" y="%.2f" width="%%.2f" height="%.2f" fill="#4878a8"/>' % (
+        rect = '<rect x="%%.2f" y="%.2f" width="%%.2f" height="%.2f" fill="#4878a8"/>\n' % (
             y + 2,
             band_h - 4,
         )
-        for lo, hi in u.bounds:
-            x = margin + (lo * bm1 - origin) / scale * plot_w
-            w = margin + (hi * bm1 - origin) / scale * plot_w - x
-            parts.append(rect % (x, max(w, 0.5)))
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+        bounds = u.bounds
+        for start in range(0, len(bounds), _SLICE):
+            rects = []
+            for lo, hi in bounds[start : start + _SLICE]:
+                x = margin + (lo * bm1 - origin) / scale * plot_w
+                w = margin + (hi * bm1 - origin) / scale * plot_w - x
+                rects.append(rect % (x, max(w, 0.5)))
+            sink.write("".join(rects))
+    sink.write("</svg>\n")
+
+
+def tower_svg(
+    d: DigitSet, unions: list[IntervalUnion], width: int = 800, height: int = 400
+) -> str:
+    """:func:`write_tower_svg` of ``unions``, as a string."""
+    sink = io.StringIO()
+    write_tower_svg(d, unions, len(unions), sink, width, height)
+    return sink.getvalue()

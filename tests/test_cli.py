@@ -481,7 +481,8 @@ class TestRender:
         def no_work(*args):
             raise AssertionError("the covers were built before --out was opened")
 
-        monkeypatch.setattr(geometry, "covers", no_work)
+        # the level generator render streams from
+        monkeypatch.setattr(geometry, "iter_covers", no_work)
         path = tmp_path / "missing" / "tower.json"
         code, out, err = run_cli(
             capsys, "render", "-b", "3", "-d", "0,1,11", "-k", "15",
@@ -550,6 +551,31 @@ class TestRender:
         assert f'viewBox="0 0 81 {height}"' in out
         heights = re.findall(r'<rect x="[^"]*" y="[^"]*" width="[^"]*" height="([^"]*)"', out)
         assert len(heights) > k and all(float(h) > 0 for h in heights)
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+    @pytest.mark.parametrize("fmt", ["json", "svg"])
+    def test_high_tower_streams_in_bounded_memory(self, tmp_path, fmt):
+        # level 13 holds 70 537 intervals and the file is 8-11 MB; held
+        # whole, the tower and its text peak at 64-86 MB, streamed near 35 MB.
+        # The child reads its own high-water mark, VmHWM: Linux carries the
+        # launcher's peak across execve into RUSAGE_SELF's ru_maxrss.
+        code = (
+            "import re, sys\n"
+            "from tilescope.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "status = open('/proc/self/status').read()\n"
+            "print(code, re.search(r'VmHWM:\\s*(\\d+) kB', status)[1])\n"
+        )
+        argv = [
+            "render", "-b", "3", "-d", "0,1,11", "-k", "13",
+            "--format", fmt, "--out", str(tmp_path / f"tower.{fmt}"),
+        ]
+        done = subprocess.run(
+            [sys.executable, "-c", code, *argv], capture_output=True, text=True, check=True
+        )
+        exit_code, peak_kb = map(int, done.stdout.split())
+        assert exit_code == 0 and done.stderr == ""
+        assert peak_kb < 50 * 1024
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,9 @@ Each row is ``(sha256, seconds, env, argv)``: a fresh
 ``python -m tilescope.cli ARGV`` with ``PYTHONPATH=src`` and ``env`` added
 must exit 0 within ``seconds``, write nothing to stderr, and write stdout
 bytes with that sha256. ``TILESCOPE_WORKERS`` is dropped from the inherited
-environment unless the row sets it.
+environment unless the row sets it. Under ``python -X dev`` each launch runs
+in development mode too, so a warning such as an unclosed file's
+``ResourceWarning`` reaches stderr and fails its row.
 
 To pin a new launch, take its hash at the commit before the change:
 ``PYTHONPATH=src python -m tilescope.cli ARGV | sha256sum``.
@@ -40,6 +42,9 @@ PINS = [
     # a JSON tower and an SVG one
     ("7cd5db86612386545d035aef87d3e8a02ba3850454752089412380d3f324ec05", 20, {}, "render -b 3 -d 0,1,11 -k 10 --format json"),
     ("4f283160b9de4be1c905bf5d5382a42e9adf58d78fb1a9d0a89fbaa7e58d0f81", 20, {}, "render -b 4 -d 0,1,8,9 -k 6"),
+    # towers whose top level, 26 963 intervals, spans many write slices
+    ("d32da3a7fc86e5096c04ea83601146c7457d297915f2ba68ecd0aa7edae18fd4", 20, {}, "render -b 3 -d 0,1,11 -k 12 --format json"),
+    ("d71c8c0f8448542a7137c57e1339431ef7b062f66ec7d6fb44182bafe8e99d77", 20, {}, "render -b 3 -d 0,1,11 -k 12 --format svg"),
     # weak product forms, stage by stage: gen_weak_product_form([0, 1],
     # [0, 2], m, {(1, 2): 1}) at base 4, stages 3-8
     ("22da00d5d4856522f6951a135366218973ba58a75bc40ef6b3335b55911802ba", 20, {}, "analyze -b 4 -d 0,1,128,385 --kmax 2 --json"),
@@ -71,7 +76,8 @@ IDS = [" ".join([*(f"{k}={v}" for k, v in env.items()), argv]) for _, _, env, ar
 def test_launch_bytes(sha256, seconds, env, argv):
     environ = {k: v for k, v in os.environ.items() if k != "TILESCOPE_WORKERS"}
     environ.update(env, PYTHONPATH=str(SRC))
-    cmd = [sys.executable, "-m", "tilescope.cli", *argv.split()]
+    dev = ["-X", "dev"] if sys.flags.dev_mode else []
+    cmd = [sys.executable, *dev, "-m", "tilescope.cli", *argv.split()]
     done = subprocess.run(cmd, env=environ, capture_output=True, timeout=seconds)
     assert (done.returncode, done.stderr) == (0, b"")
     assert hashlib.sha256(done.stdout).hexdigest() == sha256
