@@ -24,6 +24,7 @@ automaton has already found, and never expands that level.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -180,8 +181,7 @@ def _cmd_search(args: argparse.Namespace, out: TextIO) -> int:
     # arguments and cap, then --out, then the corpus: a rejected search
     # leaves --out as it was, and a path that cannot be opened costs no work
     _check_search(args.base, args.bound, args.mmax)
-    sink = open(args.out, "w") if args.out else out
-    try:
+    with open(args.out, "w") if args.out else contextlib.nullcontext(out) as sink:
         records, summary = run_search(args.base, args.bound, args.mmax, workers)
         if args.json:
             _write_records(records, sink)
@@ -195,9 +195,6 @@ def _cmd_search(args: argparse.Namespace, out: TextIO) -> int:
             )
             sink.write(f"max stage among tiles: {summary['max_m']}\n")
             sink.write(f"violations: {summary['violations']}\n")
-    finally:
-        if args.out:
-            sink.close()
     return EXIT_OK
 
 
@@ -237,17 +234,13 @@ def _cmd_render(args: argparse.Namespace, out: TextIO) -> int:
     # search never loads geometry
     from .geometry import iter_covers, write_intervals_json, write_tower_svg
 
-    sink = open(args.out, "w") if args.out else out
-    try:
+    with open(args.out, "w") if args.out else contextlib.nullcontext(out) as sink:
         # one level and one slice of its text in memory at a time
         levels = iter_covers(d, args.k)
         if args.format == "svg":
             write_tower_svg(d, levels, args.k, sink, width=args.width, height=args.height)
         else:
             write_intervals_json(d, levels, args.k, sink)
-    finally:
-        if args.out:
-            sink.close()
     return EXIT_OK
 
 

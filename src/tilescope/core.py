@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from operator import attrgetter
-from typing import Iterable
+from typing import Collection, Iterable
 
 
 def frozen(cls):
@@ -220,48 +220,48 @@ def residues_mod(values: Iterable[int], period: int) -> tuple[int, ...]:
     return tuple(sorted({v % period for v in values}))
 
 
-def residue_mask(values: Iterable[int], period: int) -> int:
-    """Residues of ``values`` mod ``period`` packed into the bits of an int."""
-    mask = 0
-    for x in values:
-        mask |= 1 << (x % period)
-    return mask
-
-
-def translates_cover_exactly(
-    mask: int, count: int, shifts: Iterable[int], period: int
+def _sums_complete(
+    a: Collection[int], blocks: Collection[Collection[int]], period: int
 ) -> bool:
-    """Whether rotating a ``count``-bit mask by every shift tiles all bits.
+    """Whether A + B hits every residue mod ``period`` exactly once, for every block B.
 
-    The workhorse behind completeness checks: one rotation per shift, a
-    word-parallel overlap test, and full coverage at the end.
+    Sums count with multiplicity, so #A * #B must be ``period``; that test
+    comes first and builds nothing.  A's residues are packed into the bits
+    of one int, built once for all the blocks.  Each block rotates that
+    mask once per element; a rotation meeting the bits set so far is a
+    repeated residue, and ``period`` sums with none repeated hit them all.
     """
+    count = len(a)
+    for b in blocks:
+        if count * len(b) != period:
+            return False  # too few or too many sums
+    mask = 0
+    for x in a:
+        mask |= 1 << (x % period)
     if mask.bit_count() != count:
-        return False  # the set already collides mod period
+        return False  # A already collides mod period
     full = (1 << period) - 1
-    acc = 0
-    for y in shifts:
-        r = y % period
-        rot = mask if r == 0 else ((mask << r) | (mask >> (period - r))) & full
-        if acc & rot:
-            return False
-        acc |= rot
-    return acc == full
+    for b in blocks:
+        acc = 0
+        for y in b:
+            r = y % period
+            rot = mask if r == 0 else ((mask << r) | (mask >> (period - r))) & full
+            if acc & rot:
+                return False
+            acc |= rot
+    return True
 
 
 def direct_sum_complete(a: Iterable[int], b: Iterable[int], period: int) -> bool:
     """Whether A + B hits every residue class mod ``period`` exactly once.
 
     True iff #A * #B == period and the pairwise sums are pairwise
-    incongruent; symmetric in A and B and invariant under translating
-    either summand.
+    incongruent, with A and B read as sets; symmetric in A and B and
+    invariant under translating either summand.
     """
     if period < 1:
         raise ValueError(f"period must be >= 1, got {period}")
-    sa, sb = set(a), set(b)
-    if len(sa) * len(sb) != period:
-        return False
-    return translates_cover_exactly(residue_mask(sa, period), len(sa), sb, period)
+    return _sums_complete(set(a), [set(b)], period)
 
 
 def _divisors(n: int) -> list[int]:
@@ -327,6 +327,7 @@ class PeriodicSet:
     def reduce(self) -> "PeriodicSet":
         """Smallest-period representation of the same subset of Z."""
         n = len(self.residues)
+        # the last divisor, the period itself, always returns
         for p in _divisors(self.period):
             cosets = self.period // p
             if n % cosets != 0:
@@ -336,4 +337,3 @@ class PeriodicSet:
                 buckets[r % p] = buckets.get(r % p, 0) + 1
             if all(c == cosets for c in buckets.values()):
                 return PeriodicSet(p, tuple(sorted(buckets)))
-        return self

@@ -25,11 +25,10 @@ from .core import (
     DigitSet,
     ExpandedDigits,
     _check_level,
+    _sums_complete,
     direct_sum_complete,
     expand,
     frozen,
-    residue_mask,
-    translates_cover_exactly,
 )
 from .tiling import collision_level
 
@@ -79,11 +78,7 @@ class SkewDecomposition:
     @cached_property
     def complete(self) -> bool:
         """Whether each A + B_j, with multiplicity, hits every residue mod base once."""
-        mask = residue_mask(self.A, self.base)
-        return all(
-            translates_cover_exactly(mask, self.s, b, self.base)
-            for b in dict.fromkeys(self.Bs)
-        )
+        return _sums_complete(self.A, dict.fromkeys(self.Bs), self.base)
 
     @cached_property
     def supports(self) -> dict[tuple[int, ...], PrimePowerSupport]:
@@ -257,16 +252,14 @@ def gen_product_form(a_list: list[Iterable[int]], base: int) -> DigitSet:
     """Digit set ``A_0 + base*A_1 + base**2*A_2 + ...`` from factor sets.
 
     The unscaled factors must sum directly to a complete residue system
-    mod ``base``; the scaled positions then never collide.
+    mod ``base``, each sum counted as often as it arises; the scaled
+    positions then never collide.
     """
     factors = [sorted(set(a)) for a in a_list]
     if not factors:
         raise ValueError("need at least one factor set")
-    card = 1
-    for f in factors:
-        card *= len(f)
-    unscaled = {sum(tup) % base for tup in product(*factors)}
-    if card != base or len(unscaled) != base:
+    rest = [sum(tup) for tup in product(*factors[1:])]
+    if not _sums_complete(factors[0], [rest], base):
         raise ValueError(
             f"factor sets do not sum to a complete residue system mod {base}"
         )

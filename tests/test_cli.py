@@ -110,11 +110,24 @@ class TestAnalyze:
         assert run_cli(capsys, "analyze", *argv, "--json")[0] == code
         assert len(built) == 1
 
-    def test_text_output(self, capsys):
-        code, out, _ = run_cli(capsys, "analyze", "-b", "4", "-d", "0,1,8,9")
-        assert code == 0
+    @pytest.mark.parametrize(
+        "argv, code, line",
+        [
+            (["-d", "0,1,8,9"], 0, "stabilization exponent m: 1"),
+            (["-d", "0,1,32,33", "--mmax", "1"], 3, "stabilization: none found with m <= 1"),
+            (
+                ["-d", "0,1,2,3", "--strict-t2"],
+                0,
+                "spectral data unavailable: strict (T2) fails for a decomposition part",
+            ),
+        ],
+        ids=["stage", "inconclusive", "strict-t2"],
+    )
+    def test_text_output(self, capsys, argv, code, line):
+        got, out, _ = run_cli(capsys, "analyze", "-b", "4", *argv)
+        assert got == code
         assert "tile: yes" in out
-        assert "stabilization exponent m: 1" in out
+        assert line in out
 
     def test_validation_errors(self, capsys):
         assert run_cli(capsys, "analyze", "-b", "4", "-d", "0,1,1,2")[0] == 2

@@ -164,9 +164,19 @@ class TestGenProductForm:
     def test_swapped_factors(self):
         assert gen_product_form([[0, 2], [0, 1]], 4).digits == (0, 2, 4, 6)
 
-    def test_incomplete_factors_rejected(self):
+    @pytest.mark.parametrize(
+        "factors, base",
+        [
+            ([[0, 1], [0, 1]], 4),  # a repeated sum
+            ([[0], [0, 1], [0, 1]], 3),  # 4 sums, though the distinct ones are complete
+            ([[0, 1]], 4),  # too few sums
+            ([[0, 4], [0, 2]], 4),  # a factor collides mod 4
+        ],
+        ids=["repeated-sum", "sizes-exceed-base", "too-few-sums", "factor-collides"],
+    )
+    def test_incomplete_factors_rejected(self, factors, base):
         with pytest.raises(ValueError, match="complete residue system"):
-            gen_product_form([[0, 1], [0, 1]], 4)
+            gen_product_form(factors, base)
 
     def test_results_are_tiles(self):
         for factors, base in [
@@ -552,11 +562,11 @@ class TestComplete:
     def test_repeated_block_checked_once(self, monkeypatch):
         seen = []
 
-        def recording(mask, count, shifts, period):
-            seen.append(shifts)
-            return tilescope.core.translates_cover_exactly(mask, count, shifts, period)
+        def recording(a, blocks, period):
+            seen.extend(blocks)
+            return tilescope.core._sums_complete(a, blocks, period)
 
-        monkeypatch.setattr(tilescope.skewform, "translates_cover_exactly", recording)
+        monkeypatch.setattr(tilescope.skewform, "_sums_complete", recording)
         dec = skew_decompose(TWELVE, 12, 1)
         assert dec.complete and seen == [(0, 6), (0, 2)]
         assert verify_decomposition(dec, TWELVE) and len(seen) == 2

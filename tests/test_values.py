@@ -186,13 +186,13 @@ class TestCachedProperty:
 
     def test_complete_is_decided_once_per_instance(self, monkeypatch):
         calls = []
-        scan = tilescope.skewform.translates_cover_exactly
+        scan = tilescope.skewform._sums_complete
 
         def counting(*args):
             calls.append(args)
             return scan(*args)
 
-        monkeypatch.setattr(tilescope.skewform, "translates_cover_exactly", counting)
+        monkeypatch.setattr(tilescope.skewform, "_sums_complete", counting)
         dec = SkewDecomposition(4, 1, (0, 1), ((0, 2), (0, 2)))
         copy = SkewDecomposition(4, 1, (0, 1), ((0, 2), (0, 2)))
         assert dec.complete and dec.complete
