@@ -255,6 +255,8 @@ def gen_product_form(a_list: list[Iterable[int]], base: int) -> DigitSet:
     mod ``base``, each sum counted as often as it arises; the scaled
     positions then never collide.
     """
+    if base < 2:
+        raise ValueError(f"base must be >= 2, got {base}")
     factors = [sorted(set(a)) for a in a_list]
     if not factors:
         raise ValueError("need at least one factor set")

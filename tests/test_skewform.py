@@ -165,17 +165,30 @@ class TestGenProductForm:
         assert gen_product_form([[0, 2], [0, 1]], 4).digits == (0, 2, 4, 6)
 
     @pytest.mark.parametrize(
-        "factors, base",
+        "factors, base, match",
         [
-            ([[0, 1], [0, 1]], 4),  # a repeated sum
-            ([[0], [0, 1], [0, 1]], 3),  # 4 sums, though the distinct ones are complete
-            ([[0, 1]], 4),  # too few sums
-            ([[0, 4], [0, 2]], 4),  # a factor collides mod 4
+            ([[0, 1], [0, 1]], 4, "complete residue system"),  # a repeated sum
+            # 4 sums, though the distinct ones are complete
+            ([[0], [0, 1], [0, 1]], 3, "complete residue system"),
+            ([[0, 1]], 4, "complete residue system"),  # too few sums
+            ([[0, 4], [0, 2]], 4, "complete residue system"),  # a factor collides
+            # base 0 is refused before any arithmetic mod base
+            ([[]], 0, "base must be"),
+            ([[0], []], 0, "base must be"),
+            ([[0]], 0, "base must be"),
         ],
-        ids=["repeated-sum", "sizes-exceed-base", "too-few-sums", "factor-collides"],
+        ids=[
+            "repeated-sum",
+            "sizes-exceed-base",
+            "too-few-sums",
+            "factor-collides",
+            "base-zero-empty",
+            "base-zero-empty-rest",
+            "base-zero",
+        ],
     )
-    def test_incomplete_factors_rejected(self, factors, base):
-        with pytest.raises(ValueError, match="complete residue system"):
+    def test_incomplete_factors_rejected(self, factors, base, match):
+        with pytest.raises(ValueError, match=match):
             gen_product_form(factors, base)
 
     def test_results_are_tiles(self):
