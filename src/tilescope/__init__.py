@@ -18,7 +18,7 @@ __version__ = "0.1.0"
 # home module -> the public names it defines
 _EXPORTS = {
     "core": "DigitSet ExpandedDigits ExpansionLimitError PeriodicSet direct_sum_complete "
-    "expand max_expansion_level normalize residues_mod",
+    "expand max_expansion_level normalize residues_mod tile_measure",
     "cyclotomic": "IntPolynomial PrimePowerSupport RationalSpectrum check_t1 check_t2 "
     "cyclotomic_poly divides divides_oracle euler_phi laba_spectrum mask_poly "
     "prime_power_root support vanishes_at",
@@ -31,7 +31,7 @@ _EXPORTS = {
     "truncated_spectrum unitarity_residual",
     "tiling": "CarryAutomaton ReplicatingChain TileWitness collision_level collision_oracle "
     "is_tile is_tile_oracle replicating_chain self_replicating_tiling "
-    "stabilization_exponent tile_measure verify_self_replicating",
+    "stabilization_exponent verify_self_replicating",
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 __all__ = sorted(_HOME)

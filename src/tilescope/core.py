@@ -337,3 +337,8 @@ class PeriodicSet:
                 buckets[r % p] = buckets.get(r % p, 0) + 1
             if all(c == cosets for c in buckets.values()):
                 return PeriodicSet(p, tuple(sorted(buckets)))
+
+
+def tile_measure(j: PeriodicSet) -> Fraction:
+    """Lebesgue measure of a tile from its tiling set: 1 / density."""
+    return 1 / j.density()

@@ -37,8 +37,7 @@ from itertools import product
 from math import gcd, lcm
 from typing import TextIO
 
-from .core import DigitSet, PeriodicSet, _check_level, frozen
-from .tiling import tile_measure
+from .core import DigitSet, PeriodicSet, _check_level, frozen, tile_measure
 
 Interval = tuple[Fraction, Fraction]
 Bounds = tuple[int, int]

@@ -21,12 +21,12 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from .core import EXIT_INCONCLUSIVE, EXIT_OK, _check_level, normalize
+from .core import EXIT_INCONCLUSIVE, EXIT_OK, _check_level, normalize, tile_measure
 from .cyclotomic import PrimePowerSupport, support
 from .geometry import measure_report
 from .skewform import SkewDecomposition, least_stage
 from .spectral import AnLaiReport, SpectralConditionError, build_spectral_data
-from .tiling import _tiling_set, is_tile, tile_measure
+from .tiling import _tiling_set, is_tile
 
 # measure_report levels default to min(6, work-cap limit for the base)
 _MEASURE_VALUE_CAP = 20_000

@@ -9,8 +9,9 @@ at once, with a two-string certificate when it fails.  The automaton is
 explored on demand by two breadth-first searches, forward from carry 0
 and backward into it, that each go about half the witness level deep and
 stop where they meet; their cost tracks the carries within that distance,
-not the span.  The eager search over every carry is kept as
-``collision_oracle``.
+not the span.  The witness comes from one pair of eager searches,
+``_searches``: ``find_collision`` runs it on the carries of the shortest
+closed walks, and ``collision_oracle``, the reference, on every carry.
 
 The module also builds the decreasing chain of periodic sets obtained by
 iterating ``J -> b*J + D`` from Z, finds the exponent where it stabilizes,
@@ -21,8 +22,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import deque
-from fractions import Fraction
-from functools import cached_property
+from collections.abc import Sequence
 
 from .core import (
     DigitSet,
@@ -85,10 +85,10 @@ class CarryAutomaton:
     some expansion level exists iff a closed walk 0 -> 0 uses at least one
     nontrivial edge.
 
-    No table is built, and no digit pair is kept until a witness needs
-    one: an edge depends on its pair only through the difference x - y, so
-    carry c takes its successors (c + x - y) / b from the differences
-    congruent to -c mod b, and its predecessors p = b*c - (x - y) from the
+    The meeting search builds no table and keeps no digit pair: an edge
+    depends on its pair only through the difference x - y, so carry c
+    takes its successors (c + x - y) / b from the differences congruent
+    to -c mod b, and its predecessors p = b*c - (x - y) from the
     differences within ``bound`` of b*c.  Trivial edges map carry 0 to 0,
     so only carry 0 is ever in the "no nontrivial edge yet" state, and
     after the first nontrivial step a state is a plain int carry.  Let
@@ -125,9 +125,9 @@ class CarryAutomaton:
     backward (u in B_(g(c)-1), an edge c -> u) has f(u) <= f(c) + 1, so u
     is in S.  By induction on the layer, a search restricted to S reaches
     each carry of S at its full depth, from the same parent through the
-    same digit pair, in the same relative order, so the two searches
-    restricted to S reproduce the eager predecessors and backward steps on
-    every candidate, and with them the witness.
+    same digit pair, in the same relative order.  So :func:`_searches` run
+    on S alone, the oracle's own searches, gives the eager predecessors
+    and backward steps on every candidate, and with them the witness.
     """
 
     def __init__(self, d: DigitSet):
@@ -141,27 +141,6 @@ class CarryAutomaton:
         self._groups: list[list[int]] = [[] for _ in range(d.base)]
         for delta in self._deltas:
             self._groups[delta % d.base].append(delta)
-
-    @cached_property
-    def _first(self) -> dict[int, tuple[int, int]]:
-        """The first pair (x, y) in digit order of each difference x - y.
-
-        Pairs with one difference lead to the same state, so only the first
-        counts; the witness needs it, the searches do not.
-        """
-        first: dict[int, tuple[int, int]] = {}
-        for x in self.digits:
-            for y in self.digits:
-                first.setdefault(x - y, (x, y))
-        return first
-
-    @cached_property
-    def _pairs(self) -> list[list[tuple[int, int]]]:
-        """``_pairs[r]``: the pairs of ``_first`` with x - y = r (mod b), in digit order."""
-        pairs: list[list[tuple[int, int]]] = [[] for _ in range(self.base)]
-        for delta, pair in self._first.items():
-            pairs[delta % self.base].append(pair)
-        return pairs
 
     def _window(self, c: int) -> range:
         """Indices in ``_deltas`` of the delta with |b*c - delta| <= bound."""
@@ -210,11 +189,9 @@ class CarryAutomaton:
         met = self._meet()
         if met is None:
             return None
-        forward, backward, meet = met
-        candidates = self._candidates(forward, backward, meet)
-        pred = self._forward_within(candidates)
-        step_b = self._backward_within(candidates)
-        return _witness(self.base, min(candidates), pred, step_b)
+        carries = sorted(self._candidates(*met))
+        pred, _, step_b, _ = _searches(self.base, self.digits, carries)
+        return _witness(self.base, carries[0], pred, step_b)
 
     def _candidates(
         self, forward: list[set[int]], backward: list[set[int]], meet: set[int]
@@ -244,60 +221,6 @@ class CarryAutomaton:
             }
             found |= layer
         return found
-
-    def _forward_within(self, carries: set[int]) -> dict:
-        """Forward search from (0, False) entering only ``carries``.
-
-        Returns the first discovery of each, keyed by (carry, True) with
-        (0, False) as the root, as in :func:`collision_oracle`.
-        """
-        base, pairs = self.base, self._pairs
-        left = set(carries)
-        root = (0, False)
-        pred: dict = {root: None}
-        layer = []
-        for x, y in pairs[0]:
-            c = (x - y) // base
-            if x != y and c in left:
-                left.remove(c)
-                pred[(c, True)] = (root, x, y)
-                layer.append(c)
-        while layer:
-            next_layer = []
-            for c in layer:
-                for x, y in pairs[-c % base]:
-                    n = (c + x - y) // base
-                    if n in left:
-                        left.remove(n)
-                        pred[(n, True)] = ((c, True), x, y)
-                        next_layer.append(n)
-            layer = next_layer
-        return pred
-
-    def _backward_within(self, carries: set[int]) -> dict[int, tuple[int, int, int]]:
-        """Backward search from carry 0 entering only ``carries``.
-
-        The predecessors of c are p = b*c - (x - y), taken in order of p,
-        as in the eager reverse table; returns each one's first step.
-        """
-        deltas = self._deltas
-        pairs = [self._first[delta] for delta in deltas]
-        left = carries - {0}
-        step_b: dict[int, tuple[int, int, int]] = {}
-        layer = [0]
-        while layer:
-            next_layer = []
-            for c in layer:
-                bc = self.base * c
-                # p = b*c - delta increases as delta decreases
-                for k in reversed(self._window(c)):
-                    p = bc - deltas[k]
-                    if p in left:
-                        left.remove(p)
-                        step_b[p] = (*pairs[k], c)
-                        next_layer.append(p)
-            layer = next_layer
-        return step_b
 
 
 def _carry_bound(d: DigitSet) -> int:
@@ -356,23 +279,53 @@ def collision_level(d: DigitSet) -> int | None:
 def collision_oracle(d: DigitSet) -> TileWitness | None:
     """Reference for :meth:`CarryAutomaton.find_collision`.
 
-    Builds the forward and reverse edge tables of every carry, runs both
-    searches to completion, and picks the carry of least total length,
-    then least value.  Its cost tracks the span, not the reachable carries.
+    Runs :func:`_searches` over every carry and picks the carry of least
+    total length, then least value.  Its cost tracks the span, not the
+    reachable carries.
     """
     bound = _carry_bound(d)
     states = range(-bound, bound + 1)
+    pred, dist_f, step_b, dist_b = _searches(d.base, d.digits, states)
+    best: int | None = None
+    best_len = 0
+    for c in states:
+        if (c, True) in dist_f and c in dist_b:
+            total = dist_f[(c, True)] + dist_b[c]
+            if best is None or total < best_len or (total == best_len and c < best):
+                best, best_len = c, total
+    if best is None:
+        return None
+    return _witness(d.base, best, pred, step_b)
+
+
+def _searches(
+    base: int, digits: tuple[int, ...], states: Sequence[int]
+) -> tuple[dict, dict, dict, dict]:
+    """The eager forward and backward searches over the carries ``states``.
+
+    ``states`` is ascending and holds carry 0; edges to carries outside it
+    are dropped.  Builds the forward and reverse edge tables between them,
+    digit pairs in digit order, then searches breadth first over (carry,
+    used-nontrivial-edge) pairs from (0, False), and backward from carry 0
+    along any edges, predecessors in order of carry.  Returns
+    ``(pred, dist_f, step_b, dist_b)``: each forward state's first
+    discovery and depth, and each carry's first step towards 0 and its
+    distance.  :func:`collision_oracle` runs it on every carry,
+    :meth:`CarryAutomaton.find_collision` on the candidates S alone.
+    """
+    # carry c takes the pairs with x - y = -c (mod b), in digit order
+    groups: list[list[tuple[int, int]]] = [[] for _ in range(base)]
+    for x in digits:
+        for y in digits:
+            groups[(x - y) % base].append((x, y))
     fwd: dict[int, list[tuple[int, int, int]]] = {c: [] for c in states}
     rev: dict[int, list[tuple[int, int, int]]] = {c: [] for c in states}
     for c in states:
-        for x in d.digits:
-            for y in d.digits:
-                t = c + x - y
-                if t % d.base == 0:
-                    nxt = t // d.base
-                    assert -bound <= nxt <= bound
-                    fwd[c].append((x, y, nxt))
-                    rev[nxt].append((x, y, c))
+        for x, y in groups[-c % base]:
+            nxt = (c + x - y) // base
+            if nxt in rev:
+                fwd[c].append((x, y, nxt))
+                rev[nxt].append((x, y, c))
     # Forward: shortest paths over (carry, used-nontrivial-edge) pairs.
     start = (0, False)
     pred: dict[tuple[int, bool], tuple[tuple[int, bool], int, int] | None]
@@ -398,16 +351,7 @@ def collision_oracle(d: DigitSet) -> TileWitness | None:
                 dist_b[prev] = dist_b[c] + 1
                 step_b[prev] = (x, y, c)
                 bqueue.append(prev)
-    best: int | None = None
-    best_len = 0
-    for c in states:
-        if (c, True) in dist_f and c in dist_b:
-            total = dist_f[(c, True)] + dist_b[c]
-            if best is None or total < best_len or (total == best_len and c < best):
-                best, best_len = c, total
-    if best is None:
-        return None
-    return _witness(d.base, best, pred, step_b)
+    return pred, dist_f, step_b, dist_b
 
 
 def is_tile_oracle(d: DigitSet, k_max: int) -> bool:
@@ -494,7 +438,3 @@ def verify_self_replicating(j: PeriodicSet, d: DigitSet) -> bool:
     )
     return stepped == j.expand_to(period)
 
-
-def tile_measure(j: PeriodicSet) -> Fraction:
-    """Lebesgue measure of a tile from its tiling set: 1 / density."""
-    return 1 / j.density()

@@ -39,6 +39,11 @@ PINS = [
     # the carry automaton near its state cap, and a wide-span non-tile
     ("a4cb9f56aa438490dbf45fa4e2bfb625787d15ebe25679f39f275901d37f62f0", 20, {}, "analyze -b 3 -d 0,1,2000004 --json"),
     ("07df23a521be1a776c75f614f2ab54fa97c5514628175b4fecec09910cd2d5fa", 20, {}, "analyze -b 3 -d 0,36961,60001 --json"),
+    # wide witnesses in bases 12 and 10, where the first digit pair in digit
+    # order decides each step: level 6 over 103 candidate carries, level 5
+    # over 121
+    ("a616c18a02b13d683893f4dec71491681dc2c34bfedf227e3a834f189630aaeb", 20, {}, "analyze -b 12 -d 0,116446,196007,199264,245492,514935,680764,789419,881031,940940,968799,1000000 --json"),
+    ("3d3dbb80cfe32f150ffdf054ab4acf96fb0a69dfa5d4407fe744d65fe80395e5", 20, {}, "analyze -b 10 -d 0,769,1786,1889,2308,3889,4364,7315,8490,10000 --json"),
     # a JSON tower and an SVG one
     ("7cd5db86612386545d035aef87d3e8a02ba3850454752089412380d3f324ec05", 20, {}, "render -b 3 -d 0,1,11 -k 10 --format json"),
     ("4f283160b9de4be1c905bf5d5382a42e9adf58d78fb1a9d0a89fbaa7e58d0f81", 20, {}, "render -b 4 -d 0,1,8,9 -k 6"),

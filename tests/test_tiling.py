@@ -22,8 +22,9 @@ from tilescope import (
     tile_measure,
     verify_self_replicating,
 )
+from tilescope import tiling
 from tilescope.cli import enumerate_normalized
-from tilescope.tiling import MAX_AUTOMATON_STATES
+from tilescope.tiling import MAX_AUTOMATON_STATES, _searches
 
 TWELVE = (0, 1, 4, 8, 9, 17, 25, 33, 41, 72, 76, 80)
 
@@ -184,9 +185,9 @@ class TestOnDemandAutomaton:
     @given(signed_digit_sets(max_base=7, reach=25))
     def test_restricted_backward_search(self, d):
         # S, the carries with f + g == L, holds every witness candidate and
-        # its competitors in both searches; there the searches restricted to
-        # S must agree with the full ones, and the layers that met must be
-        # the full searches' layers.
+        # its competitors in both searches; there the searches run on S
+        # alone must agree with the full ones, and the layers that met must
+        # be the full searches' layers.
         automaton = CarryAutomaton(d)
         met = automaton._meet()
         full_pred, full_depth = full_forward(d)
@@ -207,12 +208,15 @@ class TestOnDemandAutomaton:
             for (c, used), k in full_depth.items()
             if used and c in full_dist and k + full_dist[c] == level
         }
-        pred = automaton._forward_within(s)
-        step = automaton._backward_within(s)
+        pred, _, step, _ = _searches(d.base, d.digits, sorted(s))
         assert len(pred) == len(s) + 1 and len(step) == len(s) - 1
         for c in s:
             assert pred[(c, True)] == full_pred[(c, True)], c
             assert step.get(c) == full_step.get(c), c
+        # over every carry, the oracle's searches are the edge definition's
+        bound = automaton.bound
+        searched = _searches(d.base, d.digits, range(-bound, bound + 1))
+        assert searched == (full_pred, full_depth, full_step, full_dist)
 
     def test_wide_three_digit_set(self):
         d = DigitSet(3, (0, 1, 1_000_002))
@@ -253,6 +257,21 @@ class TestOnDemandAutomaton:
         for fn in (is_tile, collision_level):
             with pytest.raises(ValueError, match="carry automaton needs 4194303 states"):
                 fn(d)
+
+    def test_witness_search_skips_the_range(self, monkeypatch):
+        # the witness is rebuilt from S alone, never from all 1 000 003 states
+        calls = []
+
+        def recording(base, digits, states):
+            calls.append(states)
+            return _searches(base, digits, states)
+
+        monkeypatch.setattr(tiling, "_searches", recording)
+        d = DigitSet(3, (0, 1, 1_000_002))
+        automaton = CarryAutomaton(d)
+        assert not is_tile(d)[0]
+        assert calls == [sorted(automaton._candidates(*automaton._meet()))]
+        assert len(calls[0]) < 5_000
 
     def test_search_size_tracks_the_walk(self):
         # 1 000 003 states, of which the two searches discover under 5 000

@@ -276,7 +276,7 @@ MAIN = "import tilescope.cli; tilescope.cli.main({})"
     "statements, absent",
     [
         ("import tilescope", LAYERS | {"cli"}),
-        ("from tilescope import covers", {"cli", "cyclotomic", "report", "skewform", "spectral"}),
+        ("from tilescope import covers", {"cli", "cyclotomic", "report", "skewform", "spectral", "tiling"}),
         ("import tilescope; tilescope.spectral", {"cli", "geometry", "report"}),
         ("import tilescope.cli; tilescope.cli.build_parser()", {"cyclotomic", "report", "spectral", "geometry"}),
         (MAIN.format("['render', '-b', '3', '-d', '0,1,11', '-k', '3']"), {"cyclotomic", "report", "spectral"}),
