@@ -19,6 +19,11 @@ are classified, serially or in the pool, and each other record is its
 mirror's, which comes earlier in corpus order, with the digits replaced.
 A set's stage search stops below its collision level, which the carry
 automaton has already found, and never expands that level.
+
+A launch loads only ``cli`` and ``core`` before a command runs.  The
+stage search, the carry automaton and ``json`` load when ``search`` does,
+once per search: ``run_search`` imports ``least_stage`` and
+``collision_level`` and hands them to the per-set classifier.
 """
 
 from __future__ import annotations
@@ -26,17 +31,14 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import json
 import math
 import os
 import re
 import sys
 from itertools import combinations
-from typing import Any, TextIO
+from typing import Any, Callable, TextIO
 
 from .core import EXIT_OK, EXIT_USAGE, DigitSet, _check_level
-from .skewform import least_stage
-from .tiling import collision_level
 
 MAX_SEARCH_SETS = 500_000
 MAX_SEARCH_BASE = 12
@@ -78,7 +80,10 @@ def count_normalized(base: int, bound: int) -> int:
     return sum(mobius[g] * math.comb(bound // g, base - 1) for g in range(1, bound + 1))
 
 
-def _search_record(args: tuple[tuple[int, ...], int, int]) -> dict[str, Any]:
+def _search_record(
+    least_stage: Callable, collision_level: Callable, args: tuple[tuple[int, ...], int, int]
+) -> dict[str, Any]:
+    """The record of one set; ``run_search`` binds the two layer functions."""
     digits, base, m_max = args
     d = DigitSet(base, digits)
     witness_level = collision_level(d)
@@ -121,6 +126,12 @@ def run_search(
     base: int, bound: int, m_max: int, workers: int
 ) -> tuple[list[dict[str, Any]], dict[str, Any]]:
     _check_search(base, bound, m_max)
+    # the two layers load here, once per search; module-level functions
+    # pickle by reference, so the bound classifier reaches a pool as well
+    from .skewform import least_stage
+    from .tiling import collision_level
+
+    classify = functools.partial(_search_record, least_stage, collision_level)
     corpus = enumerate_normalized(base, bound)
     # D and its reflection max D - D share every field but the digits, and
     # the smaller of the two comes first in corpus order: classify that one
@@ -132,10 +143,10 @@ def run_search(
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
             classified = list(
-                pool.map(_search_record, jobs, chunksize=max(len(jobs) // (4 * workers), 1))
+                pool.map(classify, jobs, chunksize=max(len(jobs) // (4 * workers), 1))
             )
     else:
-        classified = [_search_record(job) for job in jobs]
+        classified = [classify(job) for job in jobs]
     by_digits = {job[0]: record for job, record in zip(jobs, classified)}
     records = [
         by_digits[digits] if digits <= mirror else {**by_digits[mirror], "digits": list(digits)}
@@ -184,8 +195,7 @@ def _cmd_search(args: argparse.Namespace, out: TextIO) -> int:
     with open(args.out, "w") if args.out else contextlib.nullcontext(out) as sink:
         records, summary = run_search(args.base, args.bound, args.mmax, workers)
         if args.json:
-            _write_records(records, sink)
-            sink.write(json.dumps({"summary": summary}) + "\n")
+            _write_records(records, summary, sink)
         else:
             sink.write(
                 f"base {summary['base']}, bound {summary['bound']}: "
@@ -198,14 +208,16 @@ def _cmd_search(args: argparse.Namespace, out: TextIO) -> int:
     return EXIT_OK
 
 
-def _write_records(records: list[dict[str, Any]], sink: TextIO) -> None:
-    """Each record as ``json.dumps(record)``, one per line.
+def _write_records(records: list[dict[str, Any]], summary: dict[str, Any], sink: TextIO) -> None:
+    """Each record as ``json.dumps(record)``, one per line, then the summary line.
 
     Every field after ``digits`` takes one of a handful of values across a
     corpus, so each distinct tail is encoded once and only the digits per
     record.  Lines are written one by one: joined, the whole output would
     sit in memory at once.
     """
+    import json  # only search --json writes JSON from cli
+
     tails: dict[tuple, str] = {}
     for record in records:
         key = (
@@ -217,6 +229,7 @@ def _write_records(records: list[dict[str, Any]], sink: TextIO) -> None:
             rest = {k: v for k, v in record.items() if k != "digits"}
             tail = tails[key] = json.dumps(rest)[1:]
         sink.write('{"digits": [%s], %s\n' % (", ".join(map(str, record["digits"])), tail))
+    sink.write(json.dumps({"summary": summary}) + "\n")
 
 
 def _cmd_render(args: argparse.Namespace, out: TextIO) -> int:

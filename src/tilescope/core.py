@@ -7,14 +7,21 @@ integers; its level-``k`` expansion is the sumset
 are stored as (period, residues) pairs.  All values are immutable and
 every operation is pure, so everything here is safe to share across
 workers without synchronization.
+
+``PeriodicSet.density`` is the one place that makes a ``Fraction``, and
+it imports the class on each call: ``fractions`` brings ``decimal`` and
+``numbers`` with it, and every CLI launch imports this module, so the
+parser, ``--help`` and ``search`` never load them.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from operator import attrgetter
-from typing import Collection, Iterable
+from typing import TYPE_CHECKING, Collection, Iterable
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 def frozen(cls):
@@ -313,6 +320,8 @@ class PeriodicSet:
 
     def density(self) -> Fraction:
         """Fraction of integers covered: #residues / period."""
+        from fractions import Fraction
+
         return Fraction(len(self.residues), self.period)
 
     def expand_to(self, period: int) -> tuple[int, ...]:

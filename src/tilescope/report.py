@@ -13,12 +13,15 @@ dict with deterministic key order and content: identical inputs give
 byte-identical serializations.
 
 Schema evolution is additive only; field names are documented in the
-README and pinned by the test suite.
+README and pinned by the test suite.  ``report_to_json`` writes the bytes
+of ``json.dumps(report, indent=2)`` by its own recursive writer: with an
+indent, ``json.dumps`` never uses its C encoder.
 """
 
 from __future__ import annotations
 
-import json
+from json.encoder import encode_basestring_ascii
+from math import gcd
 from typing import Any
 
 from .core import EXIT_INCONCLUSIVE, EXIT_OK, _check_level, normalize, tile_measure
@@ -52,9 +55,14 @@ def _cyclo_part(supp: PrimePowerSupport, strict_gate: bool) -> dict[str, Any]:
     # the strict reading tests every subset the relaxed one does
     if supp.t1 and supp.t2(strict=strict_gate):
         spec = supp.spectrum()
+        den = spec.denominator
         part["spectrum"] = {
-            "denominator": spec.denominator,
-            "elements": [str(e) for e in spec.elements],
+            "denominator": den,
+            # str(Fraction(v, den)), from one gcd each
+            "elements": [
+                str(v // g) if (g := gcd(v, den)) == den else f"{v // g}/{den // g}"
+                for v in spec.numerators
+            ],
         }
     return part
 
@@ -193,9 +201,56 @@ def analyze_digit_set(
     return report, EXIT_OK
 
 
+def _write_json(value: Any, indent: str, parts: list[str]) -> None:
+    """Append ``json.dumps(value, indent=2)``, nested at ``indent``, to ``parts``.
+
+    Takes dicts with str keys, lists, str, int, bool and None, and raises
+    TypeError on anything else, floats included.
+    """
+    kind = type(value)
+    if kind is str:
+        parts.append(encode_basestring_ascii(value))
+    elif kind is int:
+        parts.append(str(value))
+    elif kind is bool:
+        parts.append("true" if value else "false")
+    elif value is None:
+        parts.append("null")
+    elif kind is dict:
+        if not value:
+            parts.append("{}")
+            return
+        inner, opening = indent + "  ", "{\n"
+        for key, item in value.items():
+            if type(key) is not str:
+                raise TypeError(f"report keys must be str, got {type(key).__name__}")
+            parts.append(opening + inner + encode_basestring_ascii(key) + ": ")
+            _write_json(item, inner, parts)
+            opening = ",\n"
+        parts.append("\n" + indent + "}")
+    elif kind is list:
+        if not value:
+            parts.append("[]")
+            return
+        inner, opening = indent + "  ", "[\n"
+        if all(type(item) is int for item in value):  # the long lists, in one join
+            parts.append(opening + inner + (",\n" + inner).join(map(str, value)) + "\n" + indent + "]")
+            return
+        for item in value:
+            parts.append(opening + inner)
+            _write_json(item, inner, parts)
+            opening = ",\n"
+        parts.append("\n" + indent + "]")
+    else:
+        raise TypeError(f"{kind.__name__} is not a report value")
+
+
 def report_to_json(report: dict[str, Any]) -> str:
     """Canonical serialization: stable key order, two-space indent."""
-    return json.dumps(report, indent=2, sort_keys=False) + "\n"
+    parts: list[str] = []
+    _write_json(report, "", parts)
+    parts.append("\n")
+    return "".join(parts)
 
 
 def render_text(report: dict[str, Any]) -> str:

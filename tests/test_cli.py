@@ -3,16 +3,18 @@
 import contextlib
 import io
 import json
+import random
 import re
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tilescope import cli, geometry, tiling
+from tilescope import cli, geometry, laba_spectrum, tiling
 from tilescope.cli import (
     build_parser,
     count_normalized,
@@ -21,8 +23,10 @@ from tilescope.cli import (
     run_search,
 )
 from tilescope.report import analyze_digit_set, report_to_json
+from tilescope.skewform import least_stage
 
 TWELVE = "0,1,4,8,9,17,25,33,41,72,76,80"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def run_cli(capsys, *argv):
@@ -221,6 +225,62 @@ class TestAnalyze:
         assert first == second
 
 
+def generated_reports(workload: str, seed: int):
+    """The reports of one pass of a benchmark workload's ``analyze`` sets."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        from workloads import GENERATORS
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    for item in GENERATORS[workload](random.Random(seed)):
+        base, digits = int(item.argv[2]), cli._parse_digits(item.argv[3].split("=")[1])
+        for strict in (False, True):
+            yield analyze_digit_set(base, digits, strict_t2=strict)[0]
+
+
+def oracle_json(value) -> str:
+    return json.dumps(value, indent=2) + "\n"
+
+
+class TestReportWriter:
+    """``report_to_json`` against ``json.dumps(report, indent=2)``."""
+
+    @pytest.mark.parametrize("workload", ["analyze-small", "analyze-wide"])
+    @given(seed=st.integers(0, 2**32))
+    @settings(max_examples=2, deadline=None)
+    def test_generated_reports_equal_json_dumps(self, workload, seed):
+        for report in generated_reports(workload, seed):
+            assert report_to_json(report) == oracle_json(report)
+            if report["cyclotomic"] is not None:
+                cyclo = report["cyclotomic"]
+                for part in [cyclo["full"], cyclo["A"], *cyclo["B"]]:
+                    if part["spectrum"] is not None:
+                        spec = laba_spectrum(part["set"])
+                        assert part["spectrum"]["elements"] == [str(e) for e in spec.elements]
+
+    def test_inconclusive_and_non_tile_reports(self):
+        for digits, m_max in [([0, 1, 8, 9], 1), ([0, 1, 3], 12), ([0, 2, 9, 11], 12)]:
+            report, _ = analyze_digit_set(len(digits), digits, m_max=m_max)
+            assert report_to_json(report) == oracle_json(report)
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            {}, [], {"a": {}, "b": []}, [[], {}, [[]]], None, True, 0, -12, 10**40,
+            [True, False, True], [1, True], [None, None], {"x": None},
+            "", 'say "hi"', "back\\slash", "tab\tnew\nline\r\x00\x1f\x7f", "caf\u00e9 \u2264 \U0001f600",
+            {'k"ey\\': ["\u00e9", 0, [1, 2, [3]]], "n": {"m": [{"p": [None, "q"]}]}},
+        ],
+    )
+    def test_hand_made_values_equal_json_dumps(self, value):
+        assert report_to_json(value) == oracle_json(value)
+
+    @pytest.mark.parametrize("value", [0.5, [1, 2.0], (1, 2), {"a": {1, 2}}, {1: "int key"}])
+    def test_other_types_are_refused(self, value):
+        with pytest.raises(TypeError):
+            report_to_json(value)
+
+
 class TestSearch:
     def test_base_two_corpus_is_single_set(self):
         assert enumerate_normalized(2, 10) == [(0, 1)]
@@ -382,12 +442,31 @@ class TestSearch:
         direct = []
         for digits in enumerate_normalized(base, bound):
             mirror = tuple(sorted(digits[-1] - x for x in digits))
-            record = cli._search_record((digits, base, 6))
-            reflected = cli._search_record((mirror, base, 6))
+            record = cli._search_record(least_stage, tiling.collision_level, (digits, base, 6))
+            reflected = cli._search_record(least_stage, tiling.collision_level, (mirror, base, 6))
             assert record["digits"] == list(digits) and reflected["digits"] == list(mirror)
             assert {**reflected, "digits": record["digits"]} == record, digits
             direct.append(record)
         assert run_search(base, bound, 6, workers=1)[0] == direct
+
+    def test_layers_are_imported_once_per_search(self, monkeypatch):
+        # an import inside the per-set classifier would grow with the corpus
+        calls = []
+        real_import = __import__
+
+        def counting_import(*args, **kwargs):
+            calls.append(args[0])
+            return real_import(*args, **kwargs)
+
+        counts = []
+        for bound in (12, 30):
+            calls.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr("builtins.__import__", counting_import)
+                records, _ = run_search(3, bound, 6, workers=1)
+            counts.append(len(calls))
+            assert len(records) == count_normalized(3, bound)
+        assert counts[0] == counts[1] > 0, calls
 
     def test_pooled_records_equal_serial_with_self_mirrors(self):
         corpus = enumerate_normalized(4, 16)

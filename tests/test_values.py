@@ -278,8 +278,8 @@ MAIN = "import tilescope.cli; tilescope.cli.main({})"
         ("import tilescope", LAYERS | {"cli"}),
         ("from tilescope import covers", {"cli", "cyclotomic", "report", "skewform", "spectral", "tiling"}),
         ("import tilescope; tilescope.spectral", {"cli", "geometry", "report"}),
-        ("import tilescope.cli; tilescope.cli.build_parser()", {"cyclotomic", "report", "spectral", "geometry"}),
-        (MAIN.format("['render', '-b', '3', '-d', '0,1,11', '-k', '3']"), {"cyclotomic", "report", "spectral"}),
+        ("import tilescope.cli; tilescope.cli.build_parser()", LAYERS - {"core"}),
+        (MAIN.format("['render', '-b', '3', '-d', '0,1,11', '-k', '3']"), LAYERS - {"core", "geometry"}),
         (MAIN.format("['search', '-b', '3', '--bound', '9']"), {"cyclotomic", "report", "spectral", "geometry"}),
         (MAIN.format("['analyze', '-b', '4', '-d', '0,1,8,9']"), set()),
     ],
@@ -288,3 +288,16 @@ MAIN = "import tilescope.cli; tilescope.cli.main({})"
 def test_each_command_loads_only_its_layers(statements, absent):
     loaded = {name for name in loaded_by(statements) if name.startswith("tilescope.")}
     assert loaded == {f"tilescope.{name}" for name in (LAYERS | {"cli"}) - absent}
+
+
+@pytest.mark.parametrize(
+    "statements, absent",
+    [
+        ("import tilescope.cli; tilescope.cli.build_parser()", {"json", "fractions", "decimal"}),
+        (MAIN.format("['render', '-b', '3', '-d', '0,1,11', '-k', '3']"), {"json"}),
+        (MAIN.format("['search', '-b', '3', '--bound', '9', '--json']"), {"fractions", "decimal"}),
+    ],
+    ids=["parser", "render", "search"],
+)
+def test_each_command_skips_the_stdlib_it_does_not_use(statements, absent):
+    assert not absent & loaded_by(statements)
