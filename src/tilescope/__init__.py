@@ -19,19 +19,20 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "core": "DigitSet ExpandedDigits ExpansionLimitError PeriodicSet direct_sum_complete "
     "expand max_expansion_level normalize residues_mod tile_measure",
-    "cyclotomic": "IntPolynomial PrimePowerSupport RationalSpectrum check_t1 check_t2 "
-    "cyclotomic_poly divides divides_oracle euler_phi laba_spectrum mask_poly "
-    "prime_power_root support vanishes_at",
-    "geometry": "IntervalUnion MeasureReport approx approx_oracle covers hull intervals_json "
+    "cyclotomic": "PrimePowerSupport RationalSpectrum check_t1 check_t2 divides "
+    "laba_spectrum prime_power_root support vanishes_at",
+    "geometry": "IntervalUnion MeasureReport approx covers hull intervals_json "
     "intervals_json_text measure_report tower_svg",
+    "oracles": "IntPolynomial approx_oracle collision_oracle cyclotomic_poly divides_oracle "
+    "euler_phi mask_poly unitarity_residual",
     "report": "analyze_digit_set report_to_json",
     "skewform": "SkewDecomposition gen_product_form gen_weak_product_form least_stage "
     "lift_stage skew_decompose verify_decomposition",
     "spectral": "AnLaiReport SpectralConditionError build_spectral_data is_hadamard "
-    "truncated_spectrum unitarity_residual",
-    "tiling": "CarryAutomaton ReplicatingChain TileWitness collision_level collision_oracle "
-    "is_tile is_tile_oracle replicating_chain self_replicating_tiling "
-    "stabilization_exponent verify_self_replicating",
+    "truncated_spectrum",
+    "tiling": "CarryAutomaton ReplicatingChain TileWitness collision_level is_tile "
+    "is_tile_oracle replicating_chain self_replicating_tiling stabilization_exponent "
+    "verify_self_replicating",
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 __all__ = sorted(_HOME)

@@ -1,4 +1,4 @@
-"""Exact mask-polynomial algebra over the integers.
+"""Cyclotomic divisibility of mask polynomials, exact over the integers.
 
 The mask polynomial of a finite integer set A is ``sum of x**a`` over
 ``a`` in A (after translating the minimum to 0).  Which cyclotomic
@@ -10,8 +10,9 @@ divides: the counts of A's residues mod s.  One rule covers every order
 (de Bruijn; Lam-Leung): Phi_s divides the mask exactly when the counts
 vanish under the product over primes p | s of ``p - (sum of the shifts by
 t*s/p, t < p)``.  For a prime power that is one factor, which says the
-counts are equal along every coset of s/p.  The dense division of the
-whole mask is kept as the test oracle :func:`divides_oracle`.
+counts are equal along every coset of s/p.  No polynomial is ever built:
+the dense division of the whole mask, with the polynomial arithmetic it
+needs, is the test oracle ``oracles.divides_oracle``.
 
 The prime-power support of A, computed once by :func:`support`, carries
 everything the Coven-Meyerowitz / Laba conditions need.  Since
@@ -30,130 +31,17 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import product
 from typing import Iterable, Sequence
 
 from .core import frozen
 
 
-@frozen
-class IntPolynomial:
-    """Integer polynomial as a coefficient tuple, lowest degree first.
-
-    No trailing zeros; the zero polynomial is the empty tuple.
-    """
-
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self):
-        c = tuple(self.coeffs)
-        n = len(c)
-        while n and c[n - 1] == 0:
-            n -= 1
-        object.__setattr__(self, "coeffs", c[:n])
-
-    @classmethod
-    def zero(cls) -> "IntPolynomial":
-        return cls(())
-
-    @classmethod
-    def one(cls) -> "IntPolynomial":
-        return cls((1,))
-
-    @classmethod
-    def from_exponents(cls, exponents: Iterable[int]) -> "IntPolynomial":
-        exps = sorted(set(exponents))
-        if not exps:
-            return cls.zero()
-        if exps[0] < 0:
-            raise ValueError(f"negative exponent {exps[0]}")
-        coeffs = [0] * (exps[-1] + 1)
-        for e in exps:
-            coeffs[e] = 1
-        return cls(tuple(coeffs))
-
-    @property
-    def degree(self) -> int:
-        """Degree, with -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __call__(self, x: int) -> int:
-        out = 0
-        for c in reversed(self.coeffs):
-            out = out * x + c
-        return out
-
-    def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        return IntPolynomial(
-            tuple(x + y for x, y in zip(a, b)) + a[len(b):]
-        )
-
-    def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
-        return self + IntPolynomial(tuple(-c for c in other.coeffs))
-
-    def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
-        if self.is_zero or other.is_zero:
-            return IntPolynomial.zero()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return IntPolynomial(tuple(out))
-
-    def divmod_monic(
-        self, divisor: "IntPolynomial"
-    ) -> tuple["IntPolynomial", "IntPolynomial"]:
-        """Exact division by a monic divisor over Z."""
-        if divisor.is_zero or divisor.coeffs[-1] != 1:
-            raise ValueError("divisor must be monic")
-        rem = list(self.coeffs)
-        d = divisor.degree
-        quot = [0] * max(len(rem) - d, 0)
-        for i in range(len(rem) - d - 1, -1, -1):
-            q = rem[i + d]
-            if q:
-                quot[i] = q
-                for j, c in enumerate(divisor.coeffs):
-                    rem[i + j] -= q * c
-        return IntPolynomial(tuple(quot)), IntPolynomial(tuple(rem[:d]))
-
-    def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        terms = []
-        for e in range(self.degree, -1, -1):
-            c = self.coeffs[e]
-            if not c:
-                continue
-            mag = "" if abs(c) == 1 and e > 0 else str(abs(c))
-            var = "" if e == 0 else ("x" if e == 1 else f"x^{e}")
-            terms.append((c < 0, mag + var))
-        out = ("-" if terms[0][0] else "") + terms[0][1]
-        for neg, t in terms[1:]:
-            out += (" - " if neg else " + ") + t
-        return out
-
-
 def prime_power_root(n: int) -> int | None:
     """The prime p when n = p**a with a >= 1, else None."""
     primes = _prime_divisors(n)
     return primes[0] if len(primes) == 1 else None
-
-
-def euler_phi(n: int) -> int:
-    out = n
-    for p in _prime_divisors(n):
-        out = out // p * (p - 1)
-    return out
 
 
 def _prime_divisors(n: int) -> list[int]:
@@ -167,47 +55,6 @@ def _prime_divisors(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
-
-
-@lru_cache(maxsize=None)
-def cyclotomic_poly(s: int) -> IntPolynomial:
-    """The s-th cyclotomic polynomial, exactly.
-
-    Prime powers use the closed form ``1 + x**q + ... + x**((p-1)q)`` with
-    ``q = s / p``; otherwise ``x**s - 1`` is divided by the product of the
-    cyclotomic polynomials of the proper divisors.
-    """
-    if s < 1:
-        raise ValueError(f"s must be >= 1, got {s}")
-    if s == 1:
-        return IntPolynomial((-1, 1))
-    p = prime_power_root(s)
-    if p is not None:
-        q = s // p
-        coeffs = [0] * ((p - 1) * q + 1)
-        for j in range(p):
-            coeffs[j * q] = 1
-        return IntPolynomial(tuple(coeffs))
-    x_s_minus_1 = IntPolynomial((-1,) + (0,) * (s - 1) + (1,))
-    divisor = IntPolynomial.one()
-    for d in range(1, s):
-        if s % d == 0:
-            divisor = divisor * cyclotomic_poly(d)
-    quot, rem = x_s_minus_1.divmod_monic(divisor)
-    assert rem.is_zero
-    return quot
-
-
-def mask_poly(a: Iterable[int]) -> IntPolynomial:
-    """0/1 mask polynomial of a set, translated so the minimum maps to x**0.
-
-    Divisibility by any cyclotomic polynomial of order >= 2 is invariant
-    under the translation.
-    """
-    vals = sorted(set(a))
-    if not vals:
-        raise ValueError("mask polynomial of an empty set")
-    return IntPolynomial.from_exponents(v - vals[0] for v in vals)
 
 
 def _divides(vals: Iterable[int], s: int, primes: Sequence[int]) -> bool:
@@ -236,21 +83,17 @@ def _divides(vals: Iterable[int], s: int, primes: Sequence[int]) -> bool:
 
 
 def divides(s: int, a: Iterable[int]) -> bool:
-    """Whether the s-th cyclotomic polynomial divides the mask of the set."""
+    """Whether the s-th cyclotomic polynomial divides the mask of the set.
+
+    Read from the residue counts by :func:`_divides`; the oracle is
+    ``oracles.divides_oracle``.
+    """
     if s < 2:
         raise ValueError(f"s must be >= 2, got {s}")
     vals = set(a)
     if not vals:
         raise ValueError("mask polynomial of an empty set")
     return _divides(vals, s, _prime_divisors(s))
-
-
-def divides_oracle(s: int, a: Iterable[int]) -> bool:
-    """:func:`divides` by dense division of the whole mask; the test oracle."""
-    if s < 2:
-        raise ValueError(f"s must be >= 2, got {s}")
-    _, rem = mask_poly(a).divmod_monic(cyclotomic_poly(s))
-    return rem.is_zero
 
 
 @frozen

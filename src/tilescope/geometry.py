@@ -6,7 +6,8 @@ hull ``[min/(b-1), max/(b-1)]``.  It is the fixed point of those maps
 cover is ``merge(union_d (Cover_{k-1} + d) / b)``, starting from the hull
 at level 0.  That is the same point set as one hull copy per level-``k``
 expansion value, so a level costs one sort-and-merge of ``b`` times the
-previous level's merged intervals, not ``b**k`` expansion values.
+previous level's merged intervals, not ``b**k`` expansion values; that
+per-value construction is the test oracle ``oracles.approx_oracle``.
 
 Endpoints are integer numerators over the common denominator
 ``b**k * (b - 1)``; the copy for digit ``d`` shifts every numerator by
@@ -21,7 +22,8 @@ level in slices of ``_SLICE`` intervals, then the footer, so neither the
 tower nor the document has to be whole in memory.  ``write_intervals_json``
 fills one text template per interval, with each endpoint reduced by one
 ``gcd``, and gives the bytes of ``json.dumps(intervals_json(...),
-indent=2)``; the dict view ``intervals_json`` is its test oracle.
+indent=2)``; the dict view ``intervals_json`` is its test oracle, kept
+here because the benchmark tracer wraps it in this module.
 ``write_tower_svg`` fills one rectangle template per band, with
 coordinates from one correctly rounded ``int / int`` division per
 endpoint, the only floats in this module.  ``intervals_json_text`` and
@@ -33,7 +35,6 @@ from __future__ import annotations
 import io
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
-from itertools import product
 from math import gcd, lcm
 from typing import TextIO
 
@@ -133,27 +134,15 @@ def covers(d: DigitSet, k_max: int) -> list[IntervalUnion]:
 
 
 def approx(d: DigitSet, level: int) -> IntervalUnion:
-    """Level-``level`` outer cover: one hull copy per expansion value, merged."""
+    """Level-``level`` outer cover: one hull copy per expansion value, merged.
+
+    The top level of :func:`iter_covers`; the per-value construction is its
+    oracle, ``oracles.approx_oracle``.
+    """
     _check_level(d.base, level)
     for union in iter_covers(d, level):
         pass
     return union
-
-
-def approx_oracle(d: DigitSet, level: int) -> IntervalUnion:
-    """:func:`approx` by the per-value construction, as a test oracle.
-
-    Enumerates every digit string of length ``level``, places one hull
-    copy at its value ``sum(d_i * b**i)`` and merges; ``b**level`` work.
-    """
-    _check_level(d.base, level)
-    b = d.base
-    weights = [(b - 1) * b**i for i in range(level)]
-    values = {sum(w * x for w, x in zip(weights, s)) for s in product(d.digits, repeat=level)}
-    lo, hi = d.digits[0], d.digits[-1]
-    return IntervalUnion(
-        level, b**level * (b - 1), _merge([(v + lo, v + hi) for v in sorted(values)])
-    )
 
 
 @frozen

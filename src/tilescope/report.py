@@ -6,7 +6,8 @@ stopping early where a stage rules the rest out and recording the
 stopping stage machine-readably.  The least stage m and the
 decomposition of D_m come from :func:`~tilescope.skewform.least_stage`,
 the one stage finder that ``search`` uses as well; the tiling set is
-built from the decomposition's class representatives A, and the
+built from the decomposition's class representatives A, unchecked, since
+the ``least_stage`` docstring proves it self-replicating, and the
 cyclotomic flags from the supports the decomposition holds for the
 spectral data as well.  The returned report is a plain JSON-compatible
 dict with deterministic key order and content: identical inputs give
@@ -24,12 +25,12 @@ from json.encoder import encode_basestring_ascii
 from math import gcd
 from typing import Any
 
-from .core import EXIT_INCONCLUSIVE, EXIT_OK, _check_level, normalize, tile_measure
+from .core import EXIT_INCONCLUSIVE, EXIT_OK, PeriodicSet, _check_level, normalize, tile_measure
 from .cyclotomic import PrimePowerSupport, support
 from .geometry import measure_report
 from .skewform import SkewDecomposition, least_stage
 from .spectral import AnLaiReport, SpectralConditionError, build_spectral_data
-from .tiling import _tiling_set, is_tile
+from .tiling import is_tile
 
 # measure_report levels default to min(6, work-cap limit for the base)
 _MEASURE_VALUE_CAP = 20_000
@@ -161,8 +162,8 @@ def analyze_digit_set(
 
     level, dec = found
     # each block a_j + b**m * B_j lies in the class of a_j mod b**m, so
-    # D_m + b**m * Z = A + b**m * Z
-    j = _tiling_set(d, dec.A, level.level)
+    # D_m + b**m * Z = A + b**m * Z, self-replicating by least_stage's proof
+    j = PeriodicSet.from_values(dec.A, d.base**level.level).reduce()
     report["tiling_set"] = {
         "period": j.period,
         "residues": list(j.residues),

@@ -99,6 +99,8 @@ def skew_decompose(
     and the result must be :attr:`~SkewDecomposition.complete`.
     Representatives are the class minima.  Returns None otherwise.
     """
+    if base < 2:
+        raise ValueError(f"base must be >= 2, got {base}")
     vals = tuple(values)
     if any(map(ge, vals, vals[1:])):  # not ascending: sort and de-duplicate
         vals = tuple(sorted(set(vals)))

@@ -5,9 +5,9 @@
 #L and every distinct pair of columns is orthogonal.  Columns l and l' are
 orthogonal exactly when Phi_s divides the mask of A, for the order
 s = N / gcd(l' - l, N).  :func:`is_hadamard` scans L's orders once and
-decides the triple with one exact divisibility test per distinct order;
-the floating-point unitarity residual exists only as a cross-check, never
-as the decision procedure.
+decides the triple with one exact divisibility test per distinct order.
+The floating-point unitarity residual, ``oracles.unitarity_residual``, is
+its cross-check, never the decision procedure.
 
 From a complete 1-stage decomposition this module assembles the two
 scaled spectra L1 (from the representatives) and L2 (from the blocks).
@@ -19,9 +19,8 @@ a complete residue system mod the modulus.
 
 from __future__ import annotations
 
-import cmath
 import math
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .core import direct_sum_complete, frozen
 from .cyclotomic import RationalSpectrum, divides
@@ -48,30 +47,14 @@ def is_hadamard(n: int, a: Iterable[int], ell: Iterable[int]) -> bool:
     """Exact Hadamard-triple test for (n, A, L); L not distinct mod n fails.
 
     One scan of L's pairs collects their orders, then one divisibility
-    test per distinct order decides A.
+    test per distinct order decides A.  Cross-checked in floating point by
+    ``oracles.unitarity_residual``.
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     sl, a = sorted(set(ell)), set(a)
     orders = {n // math.gcd(cc - c, n) for i, c in enumerate(sl) for cc in sl[i + 1:]}
     return len(a) == len(sl) and 1 not in orders and all(divides(s, a) for s in sorted(orders))
-
-
-def unitarity_residual(n: int, a: Sequence[int], ell: Sequence[int]) -> float:
-    """Max entrywise deviation of M*M from the identity, in floating point.
-
-    Cross-validation only: exact truth comes from :func:`is_hadamard`.
-    """
-    sa, sl = sorted(set(a)), sorted(set(ell))
-    cols = [
-        [cmath.exp(2j * cmath.pi * (x * c % n) / n) for x in sa] for c in sl
-    ]
-    worst = 0.0
-    for i, u in enumerate(cols):
-        for j, v in enumerate(cols):
-            entry = sum(p.conjugate() * q for p, q in zip(u, v)) / len(sa)
-            worst = max(worst, abs(entry - (i == j)))
-    return worst
 
 
 @frozen

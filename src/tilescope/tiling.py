@@ -11,11 +11,16 @@ and backward into it, that each go about half the witness level deep and
 stop where they meet; their cost tracks the carries within that distance,
 not the span.  The witness comes from one pair of eager searches,
 ``_searches``: ``find_collision`` runs it on the carries of the shortest
-closed walks, and ``collision_oracle``, the reference, on every carry.
+closed walks, and the reference ``oracles.collision_oracle`` on every
+carry.
 
 The module also builds the decreasing chain of periodic sets obtained by
 iterating ``J -> b*J + D`` from Z, finds the exponent where it stabilizes,
 and turns the stable entry into a verified self-replicating tiling set.
+No command builds the chain: ``least_stage`` settles the stage, and the
+chain is its independent check in the tests.  It stays here, beside the
+brute-force ``is_tile_oracle``, since the benchmark binds both in this
+module; the other references live in ``oracles``.
 """
 
 from __future__ import annotations
@@ -24,15 +29,7 @@ from bisect import bisect_left, bisect_right
 from collections import deque
 from collections.abc import Sequence
 
-from .core import (
-    DigitSet,
-    ExpansionLimitError,
-    PeriodicSet,
-    expand,
-    frozen,
-    max_expansion_level,
-    residues_mod,
-)
+from .core import DigitSet, PeriodicSet, _check_level, expand, frozen, residues_mod
 
 # Residue chains stay small for tiles, but guard against runaway growth on
 # adversarial inputs.
@@ -111,7 +108,7 @@ class CarryAutomaton:
     F_rf & B_rb; a frontier that empties before any meeting means a tile.
 
     :meth:`find_collision` returns the witness of the eager search kept in
-    :func:`collision_oracle`: the least c with f(c) + g(c) == L, reached
+    ``oracles.collision_oracle``: the least c with f(c) + g(c) == L, reached
     by the forward path of first discovery (over (carry, used-nontrivial)
     states, digit pairs in digit order) and left by the backward path of
     first discovery (predecessors in order of p, then digit order).  The
@@ -185,7 +182,11 @@ class CarryAutomaton:
         return None
 
     def find_collision(self) -> TileWitness | None:
-        """Shortest closed walk 0 -> 0 through a nontrivial edge, if any."""
+        """Shortest closed walk 0 -> 0 through a nontrivial edge, if any.
+
+        Its oracle is ``oracles.collision_oracle``, which must return the
+        same witness.
+        """
         met = self._meet()
         if met is None:
             return None
@@ -276,28 +277,6 @@ def collision_level(d: DigitSet) -> int | None:
     return None if met is None else len(met[0]) + len(met[1]) - 2
 
 
-def collision_oracle(d: DigitSet) -> TileWitness | None:
-    """Reference for :meth:`CarryAutomaton.find_collision`.
-
-    Runs :func:`_searches` over every carry and picks the carry of least
-    total length, then least value.  Its cost tracks the span, not the
-    reachable carries.
-    """
-    bound = _carry_bound(d)
-    states = range(-bound, bound + 1)
-    pred, dist_f, step_b, dist_b = _searches(d.base, d.digits, states)
-    best: int | None = None
-    best_len = 0
-    for c in states:
-        if (c, True) in dist_f and c in dist_b:
-            total = dist_f[(c, True)] + dist_b[c]
-            if best is None or total < best_len or (total == best_len and c < best):
-                best, best_len = c, total
-    if best is None:
-        return None
-    return _witness(d.base, best, pred, step_b)
-
-
 def _searches(
     base: int, digits: tuple[int, ...], states: Sequence[int]
 ) -> tuple[dict, dict, dict, dict]:
@@ -310,7 +289,7 @@ def _searches(
     along any edges, predecessors in order of carry.  Returns
     ``(pred, dist_f, step_b, dist_b)``: each forward state's first
     discovery and depth, and each carry's first step towards 0 and its
-    distance.  :func:`collision_oracle` runs it on every carry,
+    distance.  ``oracles.collision_oracle`` runs it on every carry,
     :meth:`CarryAutomaton.find_collision` on the candidates S alone.
     """
     # carry c takes the pairs with x - y = -c (mod b), in digit order
@@ -359,10 +338,9 @@ def is_tile_oracle(d: DigitSet, k_max: int) -> bool:
 
     Independent of the automaton: enumerates distinct expansion values
     level by level.  Collisions never heal, so the loop stops at the first
-    shortfall.
+    shortfall.  The reference for :func:`is_tile` on truncations.
     """
-    if k_max > max_expansion_level(d.base):
-        raise ExpansionLimitError(d.base, k_max, max_expansion_level(d.base))
+    _check_level(d.base, k_max)
     values = set(d.digits)
     for k in range(1, k_max + 1):
         if k > 1:
@@ -419,12 +397,7 @@ def self_replicating_tiling(d: DigitSet, m: int) -> PeriodicSet:
     Requires m to be a stabilization exponent; the result is re-verified
     and a non-stabilizing m is rejected.
     """
-    return _tiling_set(d, expand(d, m).values, m)
-
-
-def _tiling_set(d: DigitSet, values: tuple[int, ...], m: int) -> PeriodicSet:
-    """``values + b**m * Z`` reduced, verified self-replicating."""
-    j = PeriodicSet.from_values(values, d.base**m).reduce()
+    j = PeriodicSet.from_values(expand(d, m).values, d.base**m).reduce()
     if not verify_self_replicating(j, d):
         raise ValueError(f"m={m} is not a stabilization exponent for {list(d.digits)}")
     return j

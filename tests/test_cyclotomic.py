@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import find_tiling_complement
-from tilescope import cyclotomic
+from tilescope import cyclotomic, oracles
 from tilescope.cli import enumerate_normalized, main
 from tilescope.core import DigitSet
 from tilescope.skewform import gen_weak_product_form, least_stage
@@ -176,7 +176,7 @@ class TestNoDenseDivision:
         def dense(*args):
             raise AssertionError("a decision reached the dense division")
 
-        monkeypatch.setattr(cyclotomic, "cyclotomic_poly", dense)
+        monkeypatch.setattr(oracles, "cyclotomic_poly", dense)
         monkeypatch.setattr(IntPolynomial, "divmod_monic", dense)
         assert main(argv) == 0
         assert capsys.readouterr().out == expected

@@ -13,6 +13,7 @@ from conftest import brute_expand
 from tilescope import (
     DigitSet,
     ExpansionLimitError,
+    PeriodicSet,
     SkewDecomposition,
     collision_level,
     direct_sum_complete,
@@ -23,12 +24,12 @@ from tilescope import (
     least_stage,
     lift_stage,
     normalize,
+    self_replicating_tiling,
     skew_decompose,
     stabilization_exponent,
     verify_decomposition,
 )
 from tilescope.cli import enumerate_normalized
-from tilescope.tiling import _tiling_set
 
 TWELVE = (0, 1, 4, 8, 9, 17, 25, 33, 41, 72, 76, 80)
 
@@ -61,6 +62,11 @@ class TestSkewDecompose:
     def test_wrong_cardinality(self):
         with pytest.raises(ValueError, match="expected 4 values"):
             skew_decompose({0, 1, 2}, 4, 1)
+
+    @pytest.mark.parametrize("base", [0, 1])
+    def test_base_below_two_rejected(self, base):
+        with pytest.raises(ValueError, match="base must be >= 2"):
+            skew_decompose([], base, 1)
 
     def test_representative_independence(self):
         dec = skew_decompose(TWELVE, 12, 1)
@@ -445,9 +451,11 @@ class TestLeastStageOracle:
         if isinstance(found, tuple) and isinstance(found[1], SkewDecomposition):
             level, dec = found  # what ``analyze`` reports as verified, unchecked
             assert verify_decomposition(dec, level.values)
-            # ``analyze`` builds the tiling set from A: block j is
-            # a_j + b**m * B_j, so D_m + b**m * Z = A + b**m * Z
-            assert _tiling_set(d, dec.A, level.level) == _tiling_set(d, level.values, level.level)
+            # ``analyze`` builds the tiling set from A, unchecked: block j is
+            # a_j + b**m * B_j, so D_m + b**m * Z = A + b**m * Z, and
+            # self_replicating_tiling raises unless that set self-replicates
+            j = PeriodicSet.from_values(dec.A, d.base**level.level).reduce()
+            assert j == self_replicating_tiling(d, level.level)
         assert outcome(least_stage, d, m_max, collision_level(d)) == expected
         with pytest.MonkeyPatch.context() as mp:
             # levels above cap_level are over the work cap

@@ -285,6 +285,11 @@ class TestIsTileOracle:
         assert not is_tile_oracle(DigitSet(4, (0, 1, 2, 5)), 2)
         assert is_tile_oracle(DigitSet(2, (0, 1)), 10)
 
+    @pytest.mark.parametrize("k_max", [0, -5])
+    def test_level_below_one_rejected(self, k_max):
+        with pytest.raises(ValueError, match="level must be >= 1"):
+            is_tile_oracle(DigitSet(4, (0, 1, 8, 9)), k_max)
+
 
 class TestWitnessMinimality:
     def test_witness_length_is_first_colliding_level(self):

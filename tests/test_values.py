@@ -245,6 +245,8 @@ class TestExportTable:
 
 
 LAYERS = {"core", "cyclotomic", "geometry", "report", "skewform", "spectral", "tiling"}
+# every module of the package; no command loads ``oracles``, the test oracles
+MODULES = LAYERS | {"cli", "oracles"}
 
 
 def loaded_by(statements: str) -> set[str]:
@@ -275,19 +277,20 @@ MAIN = "import tilescope.cli; tilescope.cli.main({})"
 @pytest.mark.parametrize(
     "statements, absent",
     [
-        ("import tilescope", LAYERS | {"cli"}),
-        ("from tilescope import covers", {"cli", "cyclotomic", "report", "skewform", "spectral", "tiling"}),
-        ("import tilescope; tilescope.spectral", {"cli", "geometry", "report"}),
-        ("import tilescope.cli; tilescope.cli.build_parser()", LAYERS - {"core"}),
-        (MAIN.format("['render', '-b', '3', '-d', '0,1,11', '-k', '3']"), LAYERS - {"core", "geometry"}),
-        (MAIN.format("['search', '-b', '3', '--bound', '9']"), {"cyclotomic", "report", "spectral", "geometry"}),
-        (MAIN.format("['analyze', '-b', '4', '-d', '0,1,8,9']"), set()),
+        ("import tilescope", MODULES),
+        ("from tilescope import covers", {"cli", "cyclotomic", "oracles", "report", "skewform", "spectral", "tiling"}),
+        ("from tilescope import divides_oracle", {"cli", "report", "skewform", "spectral"}),
+        ("import tilescope; tilescope.spectral", {"cli", "geometry", "oracles", "report"}),
+        ("import tilescope.cli; tilescope.cli.build_parser()", MODULES - {"cli", "core"}),
+        (MAIN.format("['render', '-b', '3', '-d', '0,1,11', '-k', '3']"), MODULES - {"cli", "core", "geometry"}),
+        (MAIN.format("['search', '-b', '3', '--bound', '9']"), {"cyclotomic", "oracles", "report", "spectral", "geometry"}),
+        (MAIN.format("['analyze', '-b', '4', '-d', '0,1,8,9']"), {"oracles"}),
     ],
-    ids=["package", "name", "submodule", "parser", "render", "search", "analyze"],
+    ids=["package", "name", "oracle", "submodule", "parser", "render", "search", "analyze"],
 )
 def test_each_command_loads_only_its_layers(statements, absent):
     loaded = {name for name in loaded_by(statements) if name.startswith("tilescope.")}
-    assert loaded == {f"tilescope.{name}" for name in (LAYERS | {"cli"}) - absent}
+    assert loaded == {f"tilescope.{name}" for name in MODULES - absent}
 
 
 @pytest.mark.parametrize(
@@ -296,8 +299,9 @@ def test_each_command_loads_only_its_layers(statements, absent):
         ("import tilescope.cli; tilescope.cli.build_parser()", {"json", "fractions", "decimal"}),
         (MAIN.format("['render', '-b', '3', '-d', '0,1,11', '-k', '3']"), {"json"}),
         (MAIN.format("['search', '-b', '3', '--bound', '9', '--json']"), {"fractions", "decimal"}),
+        (MAIN.format("['analyze', '-b', '4', '-d', '0,1,8,9']"), {"cmath"}),
     ],
-    ids=["parser", "render", "search"],
+    ids=["parser", "render", "search", "analyze"],
 )
 def test_each_command_skips_the_stdlib_it_does_not_use(statements, absent):
     assert not absent & loaded_by(statements)
