@@ -115,9 +115,6 @@ class PrimePowerSupport:
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "values", tuple(sorted(set(self.values))))
 
-    def __iter__(self):
-        return iter(self.entries)
-
     def __len__(self) -> int:
         return len(self.entries)
 
@@ -222,8 +219,8 @@ def check_t2(a: Iterable[int], strict: bool = False) -> bool:
 class RationalSpectrum:
     """A finite set of rationals in [0, 1) with a common denominator.
 
-    Stored as the integer numerators over ``denominator``; ``elements``,
-    iteration and ``len`` read them as fractions.
+    Stored as the integer numerators over ``denominator``; ``elements``
+    reads them as fractions, and ``len`` counts them.
     """
 
     numerators: tuple[int, ...]
@@ -243,9 +240,6 @@ class RationalSpectrum:
 
     def __len__(self) -> int:
         return len(self.numerators)
-
-    def __iter__(self):
-        return iter(self.elements)
 
     def scaled(self, factor: int) -> tuple[int, ...]:
         """The elements multiplied by an integer factor, when all are integers."""

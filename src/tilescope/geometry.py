@@ -110,12 +110,10 @@ def iter_covers(d: DigitSet, k_max: int) -> Iterator[IntervalUnion]:
     """Outer covers of levels ``1..k_max``, each built from the one before.
 
     Only the newest level is kept: the previous one is dropped as soon as
-    the caller lets go of it.  The work cap of
-    :func:`~tilescope.core.expand` (``b**k_max`` within
-    ``MAX_EXPANSION_TERMS``) is checked before level 1 is built.
+    the caller lets go of it.  The level check of
+    :func:`~tilescope.core.expand` (``k_max >= 1``, and ``b**k_max`` within
+    ``MAX_EXPANSION_TERMS``) runs before level 1 is built.
     """
-    if k_max < 1:
-        return
     _check_level(d.base, k_max)
     den = d.base - 1
     bounds: tuple[Bounds, ...] = ((d.digits[0], d.digits[-1]),)
@@ -139,7 +137,6 @@ def approx(d: DigitSet, level: int) -> IntervalUnion:
     The top level of :func:`iter_covers`; the per-value construction is its
     oracle, ``oracles.approx_oracle``.
     """
-    _check_level(d.base, level)
     for union in iter_covers(d, level):
         pass
     return union
@@ -161,8 +158,6 @@ def measure_report(
     d: DigitSet, k_max: int, tiling_set: PeriodicSet | None = None
 ) -> MeasureReport:
     """Lengths of the level-1..k_max covers, with the 1/density target if given."""
-    if k_max < 1:
-        raise ValueError(f"k_max must be >= 1, got {k_max}")
     lengths = tuple(u.total_length for u in iter_covers(d, k_max))
     target = None if tiling_set is None else tile_measure(tiling_set)
     return MeasureReport(lengths, target)

@@ -71,23 +71,6 @@ class IntPolynomial:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def __call__(self, x: int) -> int:
-        out = 0
-        for c in reversed(self.coeffs):
-            out = out * x + c
-        return out
-
-    def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        return IntPolynomial(
-            tuple(x + y for x, y in zip(a, b)) + a[len(b):]
-        )
-
-    def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
-        return self + IntPolynomial(tuple(-c for c in other.coeffs))
-
     def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
         if self.is_zero or other.is_zero:
             return IntPolynomial.zero()

@@ -221,29 +221,17 @@ def lift_stage(dec: SkewDecomposition) -> SkewDecomposition:
 
     The expansion of the represented digit set to level m splits along
     index tuples: representatives become a + b*a' + ... over all tuples,
-    and each block is the matching weighted sumset of the B's.  The
-    output is verified against the actual level-m expansion; failure
-    there is an internal error, not an input condition.
+    and each block is the matching weighted sumset of the B's, so the
+    level-m expansion is in 1-stage form at base b**m.  That form is
+    canonical, so the result is :func:`skew_decompose` of the expansion,
+    with the class minima as representatives; a level that collides or
+    does not decompose is an internal error, not an input condition.
     """
     m = dec.stage
     source = DigitSet(dec.base, dec.digit_values())
-    lifted: list[tuple[int, tuple[int, ...]]] = []
-    for tup in product(range(dec.s), repeat=m):
-        a = sum(dec.base**i * dec.A[j] for i, j in enumerate(tup))
-        sums = {0}
-        for i, j in enumerate(tup):
-            step = dec.base**i
-            sums = {u + step * v for u in sums for v in dec.Bs[j]}
-        lifted.append((a, tuple(sorted(sums))))
-    lifted.sort()
-    out = SkewDecomposition(
-        base=dec.base**m,
-        stage=1,
-        A=tuple(a for a, _ in lifted),
-        Bs=tuple(b for _, b in lifted),
-    )
-    target = expand(source, m).values
-    if not verify_decomposition(out, target):
+    level = expand(source, m)
+    out = None if level.collisions else skew_decompose(level.values, dec.base**m, 1)
+    if out is None:
         raise RuntimeError(
             f"stage lift produced an invalid decomposition for {list(source.digits)}"
         )

@@ -29,7 +29,7 @@ from bisect import bisect_left, bisect_right
 from collections import deque
 from collections.abc import Sequence
 
-from .core import DigitSet, PeriodicSet, _check_level, expand, frozen, residues_mod
+from .core import DigitSet, PeriodicSet, _check_level, expand, frozen
 
 # Residue chains stay small for tiles, but guard against runaway growth on
 # adversarial inputs.
@@ -38,6 +38,9 @@ MAX_CHAIN_RESIDUES = 1 << 22
 # {0, 1, 2000004}, 2000005 states; its two searches discover 980 forward
 # and 729 backward carries in about 1 ms, and the process peaks at 16 MB
 # resident, as much as importing tilescope takes (CPython 3.11, x86-64).
+# The same cap bounds the b**2 digit pairs, whose differences the automaton
+# and the witness searches build, so b <= 1448: `analyze` of a random
+# base-1448 set with digits up to 10**9 takes about 2 s and 270 MB.
 MAX_AUTOMATON_STATES = 1 << 21
 
 
@@ -76,11 +79,11 @@ class CarryAutomaton:
     """Walk space of carries for equal-value digit string pairs, explored on demand.
 
     States are carries c with |c| <= span // (base - 1); ``states`` is that
-    range, and its length is what the cap bounds.  An edge (c, x, y) -> c'
-    exists when c + x - y is divisible by the base, with
-    c' = (c + x - y) // base; it is nontrivial when x != y.  A collision in
-    some expansion level exists iff a closed walk 0 -> 0 uses at least one
-    nontrivial edge.
+    range, and the cap bounds its length and the base**2 digit pairs.  An
+    edge (c, x, y) -> c' exists when c + x - y is divisible by the base,
+    with c' = (c + x - y) // base; it is nontrivial when x != y.  A
+    collision in some expansion level exists iff a closed walk 0 -> 0 uses
+    at least one nontrivial edge.
 
     The meeting search builds no table and keeps no digit pair: an edge
     depends on its pair only through the difference x - y, so carry c
@@ -225,11 +228,16 @@ class CarryAutomaton:
 
 
 def _carry_bound(d: DigitSet) -> int:
-    """The largest carry magnitude, checked against the state cap."""
+    """The largest carry magnitude, once the states and digit pairs pass the cap."""
     bound = d.span // (d.base - 1)
     if 2 * bound + 1 > MAX_AUTOMATON_STATES:
         raise ValueError(
             f"carry automaton needs {2 * bound + 1} states, over the cap "
+            f"{MAX_AUTOMATON_STATES}"
+        )
+    if d.base**2 > MAX_AUTOMATON_STATES:
+        raise ValueError(
+            f"carry automaton needs {d.base**2} digit pairs, over the cap "
             f"{MAX_AUTOMATON_STATES}"
         )
     return bound
@@ -357,9 +365,6 @@ class ReplicatingChain:
     base: int
     entries: tuple[PeriodicSet, ...]
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
 
 def _chain_step(d: DigitSet, prev: PeriodicSet) -> PeriodicSet:
     period = d.base * prev.period
@@ -404,10 +409,6 @@ def self_replicating_tiling(d: DigitSet, m: int) -> PeriodicSet:
 
 
 def verify_self_replicating(j: PeriodicSet, d: DigitSet) -> bool:
-    """Exact check that b*J + D equals J, compared modulo b * period."""
-    period = d.base * j.period
-    stepped = residues_mod(
-        (d.base * r + dd for r in j.residues for dd in d.digits), period
-    )
-    return stepped == j.expand_to(period)
+    """Exact check that b*J + D equals J: one chain step, in canonical form."""
+    return _chain_step(d, j) == j.reduce()
 

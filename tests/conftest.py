@@ -1,4 +1,4 @@
-"""Shared fixtures and independent oracles for the test suite.
+"""Shared fixtures, strategies and independent oracles for the test suite.
 
 Oracles here deliberately avoid the library's own code paths: expansion
 is enumerated positionally rather than incrementally, and cyclic-group
@@ -10,8 +10,19 @@ from __future__ import annotations
 from itertools import product
 
 import pytest
+from hypothesis import strategies as st
 
 from tilescope.cli import enumerate_normalized
+from tilescope.core import DigitSet
+
+
+def digit_sets(*, max_base: int, max_digit: int, min_digit: int = 0):
+    """Digit sets of base 2..max_base with distinct digits in [min_digit, max_digit]."""
+    return st.integers(2, max_base).flatmap(
+        lambda b: st.lists(
+            st.integers(min_digit, max_digit), min_size=b, max_size=b, unique=True
+        ).map(lambda ds: DigitSet(b, tuple(ds)))
+    )
 
 
 def brute_expand(digits, base: int, level: int) -> list[int]:

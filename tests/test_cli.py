@@ -145,6 +145,16 @@ class TestAnalyze:
         assert code == 2 and out == ""
         assert err.startswith("error: carry automaton needs") and err.count("\n") == 1
 
+    def test_digit_pair_cap_checked_before_work(self, capsys):
+        digits = random.Random(1).sample(range(10**9 + 1), 1449)
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            capsys, "analyze", "-b", "1449", "-d", ",".join(map(str, digits))
+        )
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == ""
+        assert err == "error: carry automaton needs 2099601 digit pairs, over the cap 2097152\n"
+
     @pytest.mark.parametrize(
         "flag, value, name", [("--mmax", "0", "m_max"), ("--kmax", "0", "k_max")]
     )
@@ -757,15 +767,6 @@ class TestParser:
 
 
 class TestInstalledEntryPoint:
-    def test_subprocess_runs_deterministically(self):
-        cmd = [
-            sys.executable, "-m", "tilescope.cli",
-            "analyze", "-b", "12", "-d", TWELVE, "--json",
-        ]
-        first = subprocess.run(cmd, capture_output=True, check=True)
-        second = subprocess.run(cmd, capture_output=True, check=True)
-        assert first.stdout == second.stdout and first.stdout
-
     def test_cli_import_leaves_numpy_out(self):
         code = "import sys, tilescope.cli; print('numpy' in sys.modules)"
         done = subprocess.run(

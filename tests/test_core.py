@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import brute_expand
+from conftest import brute_expand, digit_sets
 from tilescope import (
     DigitSet,
     ExpansionLimitError,
@@ -17,14 +17,6 @@ from tilescope import (
     normalize,
     residues_mod,
 )
-
-
-def digit_sets(max_base=6, max_digit=30):
-    return st.integers(2, max_base).flatmap(
-        lambda b: st.lists(
-            st.integers(0, max_digit), min_size=b, max_size=b, unique=True
-        ).map(lambda ds: DigitSet(b, tuple(ds)))
-    )
 
 
 def periodic_sets(max_period=48):
@@ -65,7 +57,7 @@ class TestNormalize:
         d, offset, scale = normalize([5, 6], 2)
         assert (d.digits, offset, scale) == ((0, 1), 5, 1)
 
-    @given(digit_sets())
+    @given(digit_sets(max_base=6, max_digit=30))
     def test_idempotent_and_reconstructs(self, d):
         norm, offset, scale = normalize(list(d.digits), d.base)
         assert norm.is_normalized

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import digit_sets
 from tilescope import (
     DigitSet,
     ExpansionLimitError,
@@ -24,14 +25,6 @@ from tilescope import (
     measure_report,
     tower_svg,
 )
-
-
-def digit_sets(max_base=5, max_digit=20, min_digit=0):
-    return st.integers(2, max_base).flatmap(
-        lambda b: st.lists(
-            st.integers(min_digit, max_digit), min_size=b, max_size=b, unique=True
-        ).map(lambda ds: DigitSet(b, tuple(ds)))
-    )
 
 
 class TestHull:
@@ -70,14 +63,14 @@ class TestApprox:
         assert approx(DigitSet(4, (0, 1, 2, 5)), 3).total_length == Fraction(23, 24)
 
     @settings(max_examples=40)
-    @given(digit_sets(), st.integers(1, 3))
+    @given(digit_sets(max_base=5, max_digit=20), st.integers(1, 3))
     def test_nested_and_monotone(self, d, k):
         outer, inner = approx(d, k), approx(d, k + 1)
         assert outer.covers(inner)
         assert inner.total_length <= outer.total_length
 
     @settings(max_examples=40)
-    @given(digit_sets(), st.integers(1, 4))
+    @given(digit_sets(max_base=5, max_digit=20), st.integers(1, 4))
     def test_exact_denominators(self, d, k):
         union = approx(d, k)
         bound = d.base**k * (d.base - 1)
@@ -132,7 +125,7 @@ class TestEmission:
 
 class TestCovers:
     @settings(max_examples=80)
-    @given(digit_sets(max_digit=30, min_digit=-30), st.integers(1, 4))
+    @given(digit_sets(max_base=5, max_digit=30, min_digit=-30), st.integers(1, 4))
     def test_recursion_matches_per_value_oracle(self, d, k_max):
         # signed digits: negative, unnormalized and common-factor sets
         unions = covers(d, k_max)
@@ -140,8 +133,13 @@ class TestCovers:
         for k, union in enumerate(unions, start=1):
             assert union == approx_oracle(d, k)
 
-    def test_no_levels(self):
-        assert covers(DigitSet(2, (0, 1)), 0) == []
+    @pytest.mark.parametrize("level", [0, -1])
+    @pytest.mark.parametrize(
+        "build", [covers, approx, measure_report], ids=lambda f: f.__name__
+    )
+    def test_level_below_one_refused(self, build, level):
+        with pytest.raises(ValueError, match=f"level must be >= 1, got {level}"):
+            build(DigitSet(2, (0, 1)), level)
 
     def test_cap_checked_before_level_one(self):
         d = DigitSet(3, (0, 1, 2))

@@ -140,6 +140,16 @@ class TestLiftStage:
         assert verify_decomposition(lifted, expand(d, 2).values)
         assert lifted == skew_decompose(expand(d, 2).values, 16, 1)
 
+    def test_hand_made_representatives_come_back_canonical(self):
+        # valid, but not class minima: the lift is the canonical form of the
+        # level-2 expansion, not the index-tuple sums {0, 1, 4, 5}
+        dec = SkewDecomposition(4, 2, (0, 1), ((1, 3), (1, 3)))
+        source = DigitSet(4, dec.digit_values())
+        assert source.digits == (16, 17, 48, 49)
+        lifted = lift_stage(dec)
+        assert lifted == skew_decompose(expand(source, 2).values, 16, 1)
+        assert lifted.A != (0, 1, 4, 5)
+
     @settings(max_examples=30)
     @given(
         st.integers(2, 3),

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_expand
+from conftest import brute_expand, digit_sets
 from tilescope import (
     CarryAutomaton,
     DigitSet,
@@ -27,14 +27,6 @@ from tilescope.cli import enumerate_normalized
 from tilescope.tiling import MAX_AUTOMATON_STATES, _searches
 
 TWELVE = (0, 1, 4, 8, 9, 17, 25, 33, 41, 72, 76, 80)
-
-
-def digit_sets(max_base=5, max_digit=24):
-    return st.integers(2, max_base).flatmap(
-        lambda b: st.lists(
-            st.integers(0, max_digit), min_size=b, max_size=b, unique=True
-        ).map(lambda ds: DigitSet(b, tuple(ds)))
-    )
 
 
 def contains_all(big: PeriodicSet, small: PeriodicSet) -> bool:
@@ -71,7 +63,7 @@ class TestIsTile:
             assert is_tile(d)[0] == is_tile_oracle(d, 7), digits
 
     @settings(max_examples=60)
-    @given(digit_sets())
+    @given(digit_sets(max_base=5, max_digit=24))
     def test_matches_truncated_oracle(self, d):
         tile, witness = is_tile(d)
         if tile:
@@ -256,6 +248,21 @@ class TestOnDemandAutomaton:
         d = DigitSet(2, (0, 2_097_151))
         for fn in (is_tile, collision_level):
             with pytest.raises(ValueError, match="carry automaton needs 4194303 states"):
+                fn(d)
+
+    def test_digit_pairs_over_the_cap_before_any_search(self, monkeypatch):
+        def no_search(self):
+            raise AssertionError("search started over the cap")
+
+        monkeypatch.setattr(CarryAutomaton, "_meet", no_search)
+        # 1448**2 pairs fit the cap and 1449**2 do not, whatever the span
+        assert tiling._carry_bound(DigitSet(1448, tuple(range(1448)))) == 1
+        d = DigitSet(1449, tuple(range(1449)))
+        for fn in (is_tile, collision_level):
+            with pytest.raises(
+                ValueError,
+                match="carry automaton needs 2099601 digit pairs, over the cap 2097152",
+            ):
                 fn(d)
 
     def test_witness_search_skips_the_range(self, monkeypatch):
