@@ -104,7 +104,7 @@ def _search_record(
     }
 
 
-def _check_search(base: int, bound: int, m_max: int) -> None:
+def _check_search(base: int, bound: int, m_max: int, workers: int) -> None:
     """Reject bad arguments and a corpus over the cap, before any set is listed."""
     if base < 2:
         raise ValueError(f"base must be >= 2, got {base}")
@@ -114,6 +114,8 @@ def _check_search(base: int, bound: int, m_max: int) -> None:
         raise ValueError(f"search bound {bound} exceeds the default cap {MAX_SEARCH_BOUND}")
     if m_max < 1:
         raise ValueError(f"m_max must be >= 1, got {m_max}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     count = count_normalized(base, bound)
     if count > MAX_SEARCH_SETS:
         raise ValueError(
@@ -125,7 +127,7 @@ def _check_search(base: int, bound: int, m_max: int) -> None:
 def run_search(
     base: int, bound: int, m_max: int, workers: int
 ) -> tuple[list[dict[str, Any]], dict[str, Any]]:
-    _check_search(base, bound, m_max)
+    _check_search(base, bound, m_max, workers)
     # the two layers load here, once per search; module-level functions
     # pickle by reference, so the bound classifier reaches a pool as well
     from .skewform import least_stage
@@ -191,7 +193,7 @@ def _cmd_search(args: argparse.Namespace, out: TextIO) -> int:
         raise ValueError(f"TILESCOPE_WORKERS must be an integer, got {env!r}") from None
     # arguments and cap, then --out, then the corpus: a rejected search
     # leaves --out as it was, and a path that cannot be opened costs no work
-    _check_search(args.base, args.bound, args.mmax)
+    _check_search(args.base, args.bound, args.mmax, workers)
     with open(args.out, "w") if args.out else contextlib.nullcontext(out) as sink:
         records, summary = run_search(args.base, args.bound, args.mmax, workers)
         if args.json:
@@ -233,8 +235,6 @@ def _write_records(records: list[dict[str, Any]], summary: dict[str, Any], sink:
 
 
 def _cmd_render(args: argparse.Namespace, out: TextIO) -> int:
-    if args.k < 1:
-        raise ValueError(f"level must be >= 1, got {args.k}")
     d = DigitSet(args.base, tuple(_parse_digits(args.digits)))
     # 40-px margins on each side, and bands more than the 4-px gap high
     if not (80 < args.width <= MAX_CANVAS and 80 + 4 * args.k < args.height <= MAX_CANVAS):
@@ -242,7 +242,7 @@ def _cmd_render(args: argparse.Namespace, out: TextIO) -> int:
             f"width must be > 80 and height > {80 + 4 * args.k} for {args.k} levels, "
             f"both at most {MAX_CANVAS}, got {args.width}x{args.height}"
         )
-    # cap, then --out, then covers: a failed check neither truncates --out nor costs work
+    # level, then --out, then covers: a failed check neither truncates --out nor costs work
     _check_level(d.base, args.k)
     # search never loads geometry
     from .geometry import iter_covers, write_intervals_json, write_tower_svg

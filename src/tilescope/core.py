@@ -115,23 +115,29 @@ class ExpansionLimitError(ValueError):
         )
 
 
-def max_expansion_level(base: int) -> int:
-    """Largest level k with base**k within the work cap."""
-    k = 0
-    n = 1
-    while n * base <= MAX_EXPANSION_TERMS:
+def max_expansion_level(base: int, cap: int | None = None) -> int:
+    """Largest level k with base**k <= ``cap``, by default the work cap."""
+    cap = MAX_EXPANSION_TERMS if cap is None else cap  # read at call time
+    k, n = 0, base
+    while n <= cap:
         n *= base
         k += 1
     return k
 
 
-def _check_level(base: int, level: int) -> None:
+def _check_level(base: int, level: int, cap: int | None = None) -> None:
+    """The one level rule: level >= 1 and base**level <= ``cap``, by default the work cap.
+
+    Every level of every command passes here: expansion levels, stages,
+    cover levels and the levels of a truncated spectrum.
+    """
     if level < 1:
-        raise ValueError(f"expansion level must be >= 1, got {level}")
+        raise ValueError(f"level must be >= 1, got {level}")
+    cap = MAX_EXPANSION_TERMS if cap is None else cap
     # base >= 2, so no level from the cap's bit length on fits: the power
     # below stays small however large the level asked for
-    if level >= MAX_EXPANSION_TERMS.bit_length() or base**level > MAX_EXPANSION_TERMS:
-        raise ExpansionLimitError(base, level, max_expansion_level(base))
+    if level >= cap.bit_length() or base**level > cap:
+        raise ExpansionLimitError(base, level, max_expansion_level(base, cap))
 
 
 @frozen
@@ -172,15 +178,16 @@ class DigitSet:
 
 @frozen
 class ExpandedDigits:
-    """Distinct values of a level-k digit expansion, plus the collision count."""
+    """Distinct values of a level-k digit expansion."""
 
     base: int
     level: int
     values: tuple[int, ...]
-    collisions: int
 
-    def __post_init__(self):
-        assert self.collisions == self.base**self.level - len(self.values)
+    @property
+    def collisions(self) -> int:
+        """Digit strings that repeat a value: b**level - #values."""
+        return self.base**self.level - len(self.values)
 
 
 def normalize(digits: Iterable[int], base: int) -> tuple[DigitSet, int, int]:
@@ -215,9 +222,7 @@ def expand(
         raise ValueError(f"cannot build level {level} from level {reached}")
     for _ in range(reached, level):
         values = {dd + d.base * v for v in values for dd in d.digits}
-    return ExpandedDigits(
-        d.base, level, tuple(sorted(values)), d.base**level - len(values)
-    )
+    return ExpandedDigits(d.base, level, tuple(sorted(values)))
 
 
 def residues_mod(values: Iterable[int], period: int) -> tuple[int, ...]:

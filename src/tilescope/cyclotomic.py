@@ -109,18 +109,16 @@ class PrimePowerSupport:
 
     def __post_init__(self):
         entries = tuple(sorted(set(self.entries)))
-        for e in entries:
-            if prime_power_root(e) is None:
-                raise ValueError(f"{e} is not a prime power > 1")
+        # the roots that validate the entries are the primes
+        primes = tuple(map(prime_power_root, entries))
+        if None in primes:
+            raise ValueError(f"{entries[primes.index(None)]} is not a prime power > 1")
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "values", tuple(sorted(set(self.values))))
+        object.__setattr__(self, "primes", primes)
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    @cached_property
-    def primes(self) -> tuple[int, ...]:
-        return tuple(prime_power_root(e) for e in self.entries)
 
     @property
     def lcm(self) -> int:

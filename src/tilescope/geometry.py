@@ -110,9 +110,9 @@ def iter_covers(d: DigitSet, k_max: int) -> Iterator[IntervalUnion]:
     """Outer covers of levels ``1..k_max``, each built from the one before.
 
     Only the newest level is kept: the previous one is dropped as soon as
-    the caller lets go of it.  The level check of
-    :func:`~tilescope.core.expand` (``k_max >= 1``, and ``b**k_max`` within
-    ``MAX_EXPANSION_TERMS``) runs before level 1 is built.
+    the caller lets go of it.  The level rule of every command,
+    ``core._check_level`` (``k_max >= 1``, and ``b**k_max`` within
+    ``MAX_EXPANSION_TERMS``), runs before level 1 is built.
     """
     _check_level(d.base, k_max)
     den = d.base - 1

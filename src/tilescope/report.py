@@ -25,22 +25,21 @@ from json.encoder import encode_basestring_ascii
 from math import gcd
 from typing import Any
 
-from .core import EXIT_INCONCLUSIVE, EXIT_OK, PeriodicSet, _check_level, normalize, tile_measure
+from .core import EXIT_INCONCLUSIVE, EXIT_OK, PeriodicSet, _check_level, max_expansion_level, normalize
 from .cyclotomic import PrimePowerSupport, support
 from .geometry import measure_report
 from .skewform import SkewDecomposition, least_stage
 from .spectral import AnLaiReport, SpectralConditionError, build_spectral_data
 from .tiling import is_tile
 
-# measure_report levels default to min(6, work-cap limit for the base)
+# measure_report levels default to the most levels of base b whose b**k
+# values fit this cap, at least 1 and at most 6; a cap of its own, far
+# below the work cap
 _MEASURE_VALUE_CAP = 20_000
 
 
 def default_k_max(base: int) -> int:
-    k = 1
-    while base ** (k + 1) <= _MEASURE_VALUE_CAP and k < 6:
-        k += 1
-    return k
+    return max(1, min(6, max_expansion_level(base, _MEASURE_VALUE_CAP)))
 
 
 def _cyclo_part(supp: PrimePowerSupport, strict_gate: bool) -> dict[str, Any]:
@@ -112,8 +111,6 @@ def analyze_digit_set(
         raise ValueError(f"m_max must be >= 1, got {m_max}")
     if k_max is None:
         k_max = default_k_max(base)
-    elif k_max < 1:
-        raise ValueError(f"k_max must be >= 1, got {k_max}")
     _check_level(base, k_max)
     report: dict[str, Any] = {
         "command": "analyze",
@@ -170,7 +167,6 @@ def analyze_digit_set(
         "density": str(j.density()),
         "self_replicating": True,
     }
-    report["measure"] = str(tile_measure(j))
     report["decomposition"] = _decomposition_json(dec)
 
     parts = {part: _cyclo_part(supp, strict_t2) for part, supp in dec.supports.items()}
@@ -193,10 +189,12 @@ def analyze_digit_set(
             report["spectral"] = {"available": False, "reason": str(err)}
 
     mr = measure_report(d, k_max, j)
+    # given j, the report's target is the tile measure 1 / density of j
+    report["measure"] = str(mr.target)
     report["measure_report"] = {
         "k_max": k_max,
         "lengths": [str(x) for x in mr.lengths],
-        "target": None if mr.target is None else str(mr.target),
+        "target": report["measure"],
         "gap": None if mr.gap is None else str(mr.gap),
     }
     return report, EXIT_OK

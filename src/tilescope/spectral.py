@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from typing import Iterable
 
-from .core import direct_sum_complete, frozen
+from .core import _check_level, direct_sum_complete, frozen
 from .cyclotomic import RationalSpectrum, divides
 from .skewform import SkewDecomposition
 
@@ -167,15 +167,13 @@ def truncated_spectrum(
     base**levels`` reduced into [0, 1), and every distinct pair is
     verified orthogonal against the equally expanded digit values; that
     verification cannot fail for a genuine triple, so a failure raises.
+    ``core._check_level`` refuses a level below 1 or one whose base**levels
+    points exceed ``MAX_TRUNCATION_POINTS``.
     """
-    if levels < 1:
-        raise ValueError(f"levels must be >= 1, got {levels}")
     if base < 2:
         raise ValueError(f"base must be >= 2, got {base}")
+    _check_level(base, levels, MAX_TRUNCATION_POINTS)
     vals, cs = sorted(set(values)), sorted(set(c))
-    # as in the expansion cap, the bit length bounds the levels before any power
-    if levels >= MAX_TRUNCATION_POINTS.bit_length() or base**levels > MAX_TRUNCATION_POINTS:
-        raise ValueError(f"{levels} levels of base {base} put the spectrum over the cap")
     if not is_hadamard(base, vals, cs):
         return None
     modulus = base**levels

@@ -155,9 +155,8 @@ class TestAnalyze:
         assert code == 2 and out == ""
         assert err == "error: carry automaton needs 2099601 digit pairs, over the cap 2097152\n"
 
-    @pytest.mark.parametrize(
-        "flag, value, name", [("--mmax", "0", "m_max"), ("--kmax", "0", "k_max")]
-    )
+    # --kmax goes through the one level rule: tests/test_core.py::TestLevelRule
+    @pytest.mark.parametrize("flag, value, name", [("--mmax", "0", "m_max")])
     def test_stage_and_level_bounds_checked_on_non_tiles(self, capsys, flag, value, name):
         code, out, err = run_cli(capsys, "analyze", "-b", "4", "-d", "0,1,2,5", flag, value)
         assert code == 2 and out == ""
@@ -398,6 +397,8 @@ class TestSearch:
             (("-b", "12", "--bound", "64"), f"{count_normalized(12, 64)} digit sets exceed"),
             (("-b", "3", "--bound", "65"), "search bound 65 exceeds the default cap"),
             (("-b", "3", "--bound", "9", "--mmax", "0"), "m_max must be >= 1, got 0"),
+            (("-b", "3", "--bound", "10", "--workers", "-3"), "workers must be >= 1, got -3"),
+            (("-b", "3", "--bound", "10", "--workers", "0"), "workers must be >= 1, got 0"),
         ],
     )
     def test_rejected_search_leaves_out_file_as_it_was(self, capsys, tmp_path, argv, message):
@@ -407,6 +408,19 @@ class TestSearch:
         assert code == 2 and out == ""
         assert err.startswith(f"error: {message}")
         assert path.read_text() == "kept"
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_worker_variable_below_one_refused(self, capsys, monkeypatch, tmp_path, workers):
+        monkeypatch.setenv("TILESCOPE_WORKERS", workers)
+        path = tmp_path / "y.jsonl"
+        path.write_text("kept")
+        code, out, err = run_cli(capsys, "search", "-b", "3", "--bound", "10", "--out", str(path))
+        assert (code, out, err) == (2, "", f"error: workers must be >= 1, got {workers}\n")
+        assert path.read_text() == "kept"
+
+    def test_run_search_refuses_workers_below_one(self):
+        with pytest.raises(ValueError, match="^workers must be >= 1, got -3$"):
+            run_search(3, 10, 6, workers=-3)
 
     def test_record_lines_are_json_dumps(self, capsys):
         # each record tail is encoded once per corpus; every line must still
@@ -612,12 +626,6 @@ class TestRender:
         )
         assert code == 2 and err.startswith("error: width must be > 80")
         assert path.read_text() == "kept"
-
-    @pytest.mark.parametrize("level", ["0", "-3"])
-    def test_level_must_be_positive(self, capsys, level):
-        code, out, err = run_cli(capsys, "render", "-b", "3", "-d", "0,1,2", "-k", level)
-        assert code == 2 and out == ""
-        assert err == f"error: level must be >= 1, got {level}\n"
 
     @pytest.mark.parametrize(
         "argv",

@@ -1,5 +1,6 @@
 """Digit sets, expansions, residue algebra, and periodic sets."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -7,16 +8,27 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import brute_expand, digit_sets
+import tilescope.core
 from tilescope import (
     DigitSet,
     ExpansionLimitError,
     PeriodicSet,
+    approx,
+    approx_oracle,
+    covers,
     direct_sum_complete,
     expand,
+    is_tile_oracle,
     max_expansion_level,
+    measure_report,
     normalize,
     residues_mod,
+    truncated_spectrum,
 )
+from tilescope.cli import main
+from tilescope.core import _check_level
+from tilescope.geometry import iter_covers
+from tilescope.report import _MEASURE_VALUE_CAP, default_k_max
 
 
 def periodic_sets(max_period=48):
@@ -131,6 +143,75 @@ class TestExpandFromBelow:
         below = expand(d, max_expansion_level(5))
         with pytest.raises(ExpansionLimitError, match="level 11 too large for base 5"):
             expand(d, 11, below=below)
+
+
+UNIT = DigitSet(2, (0, 1))
+
+# every entry point that takes a level -> (a call at a level, or the argv
+# the level is appended to; the largest level of base 2 its cap lets through)
+LEVEL_ENTRY_POINTS = {
+    "expand": (lambda k: expand(UNIT, k), 24),  # 2**24 terms
+    "iter_covers": (lambda k: list(iter_covers(UNIT, k)), 24),
+    "covers": (lambda k: covers(UNIT, k), 24),
+    "approx": (lambda k: approx(UNIT, k), 24),
+    "measure_report": (lambda k: measure_report(UNIT, k), 24),
+    "is_tile_oracle": (lambda k: is_tile_oracle(UNIT, k), 24),
+    "approx_oracle": (lambda k: approx_oracle(UNIT, k), 24),
+    # 2**10 spectrum points
+    "truncated_spectrum": (lambda k: truncated_spectrum([0, 1], 2, [0, 1], k), 10),
+    "analyze_kmax": (["analyze", "-b", "2", "-d", "0,1", "--kmax"], 24),
+    "render_k": (["render", "-b", "2", "-d", "0,1", "-k"], 24),
+}
+
+
+class TestLevelRule:
+    """``core._check_level`` bounds every level of every command, with one message each way."""
+
+    @pytest.mark.parametrize("step", ["0", "-1", "over"])
+    @pytest.mark.parametrize("entry", list(LEVEL_ENTRY_POINTS))
+    def test_level_rule(self, capsys, entry, step):
+        call, top = LEVEL_ENTRY_POINTS[entry]
+        if step == "over":
+            level = top + 1
+            error = ExpansionLimitError
+            message = f"level {level} too large for base 2: at most {top} levels fit the work cap"
+        else:
+            level = int(step)
+            error = ValueError
+            message = f"level must be >= 1, got {level}"
+        if isinstance(call, list):  # a command: exit 2 and one error line
+            code = main([*call, str(level)])
+            out, err = capsys.readouterr()
+            assert (code, out, err) == (2, "", f"error: {message}\n")
+        else:
+            with pytest.raises(error) as raised:
+                call(level)
+            assert str(raised.value) == message
+
+    @pytest.mark.parametrize(
+        "entry", [name for name, (call, _) in LEVEL_ENTRY_POINTS.items() if callable(call)]
+    )
+    def test_huge_level_refused_without_its_power(self, entry):
+        call, top = LEVEL_ENTRY_POINTS[entry]
+        start = time.perf_counter()
+        with pytest.raises(ExpansionLimitError, match=f"at most {top} levels fit"):
+            call(10**11)
+        assert time.perf_counter() - start < 2
+
+    def test_work_cap_read_at_call_time(self, monkeypatch):
+        monkeypatch.setattr(tilescope.core, "MAX_EXPANSION_TERMS", 3**3)
+        assert max_expansion_level(3) == 3
+        _check_level(3, 3)
+        with pytest.raises(ExpansionLimitError, match="at most 3 levels fit"):
+            _check_level(3, 4)
+
+    def test_default_measure_levels(self):
+        for base in [*range(2, 201), 20_001]:
+            # the loop default_k_max replaced
+            k = 1
+            while base ** (k + 1) <= _MEASURE_VALUE_CAP and k < 6:
+                k += 1
+            assert default_k_max(base) == k, base
 
 
 class TestResiduesMod:

@@ -202,6 +202,10 @@ class TestSupport:
         supp = support([0, 1, 8, 9])
         assert supp.lcm == 16 and supp.primes == (2, 2) and supp.prime_product == 4
 
+    def test_entry_not_a_prime_power_refused(self):
+        with pytest.raises(ValueError, match="^6 is not a prime power > 1$"):
+            cyclotomic.PrimePowerSupport((2, 6), (0, 1))
+
     @settings(max_examples=300)
     @given(raw_sets)
     def test_matches_dense_scan(self, a):

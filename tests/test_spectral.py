@@ -1,7 +1,6 @@
 """Hadamard triples and assembled spectral data."""
 
 import math
-import time
 from fractions import Fraction
 
 import pytest
@@ -305,16 +304,6 @@ class TestTruncatedSpectrum:
         spec = truncated_spectrum([0, 2], 4, [0, 1], 3)
         assert spec is not None and len(spec) == 8
         assert spec.denominator == 64
-
-    def test_level_cap(self):
-        with pytest.raises(ValueError, match="over the cap"):
-            truncated_spectrum([0, 1], 2, [0, 1], 20)
-
-    def test_huge_level_capped_without_its_power(self):
-        start = time.perf_counter()
-        with pytest.raises(ValueError, match="over the cap"):
-            truncated_spectrum([0, 1], 2, [0, 1], 10**11)
-        assert time.perf_counter() - start < 2
 
 
 class TestResidualScale:
