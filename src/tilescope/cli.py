@@ -3,9 +3,9 @@
 Exit codes: 0 for a completed analysis (tile or not), 2 for parse or
 validation errors and for an --out path that cannot be opened, 3 when no
 level up to --mmax is in skew product form (inconclusive).  ``search``
-emits one JSON line per digit set followed by a summary line; the worker
-count comes from --workers, overridden by the ``TILESCOPE_WORKERS``
-environment variable, and is clamped to the number of cores.
+emits one JSON line per digit set followed by a summary line; it runs
+one worker per ``SETS_PER_WORKER`` sets of the corpus, at least one and at
+most one per usable CPU, so the benchmark's corpora run serial.
 
 ``search`` classifies one set of each reflection pair.  D -> c - D with
 c = max D maps the normalized corpus onto itself and keeps every record
@@ -46,6 +46,12 @@ MAX_SEARCH_BOUND = 64
 # Largest ``render`` width and height: far past any display, far inside the
 # float range the SVG coordinates are computed in
 MAX_CANVAS = 1_000_000
+# Sets per ``search`` worker: the benchmark's corpora (at most 5 665 sets)
+# stay serial, and from 25 819 sets on a pool of two won 9 or 10 of 10
+# launches against serial on 2 vCPUs
+SETS_PER_WORKER = 10_000
+# The CPUs this process may run on, read once: ``taskset`` limits the pool too
+CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def _parse_digits(text: str) -> list[int]:
@@ -104,8 +110,11 @@ def _search_record(
     }
 
 
-def _check_search(base: int, bound: int, m_max: int, workers: int) -> None:
-    """Reject bad arguments and a corpus over the cap, before any set is listed."""
+def _check_search(base: int, bound: int, m_max: int) -> int:
+    """Reject bad arguments and a corpus over the cap, before any set is listed.
+
+    Returns the corpus size.
+    """
     if base < 2:
         raise ValueError(f"base must be >= 2, got {base}")
     if base > MAX_SEARCH_BASE:
@@ -114,20 +123,21 @@ def _check_search(base: int, bound: int, m_max: int, workers: int) -> None:
         raise ValueError(f"search bound {bound} exceeds the default cap {MAX_SEARCH_BOUND}")
     if m_max < 1:
         raise ValueError(f"m_max must be >= 1, got {m_max}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     count = count_normalized(base, bound)
     if count > MAX_SEARCH_SETS:
         raise ValueError(
             f"{count} digit sets exceed the search cap {MAX_SEARCH_SETS}; "
             f"lower the bound"
         )
+    return count
 
 
 def run_search(
     base: int, bound: int, m_max: int, workers: int
 ) -> tuple[list[dict[str, Any]], dict[str, Any]]:
-    _check_search(base, bound, m_max, workers)
+    _check_search(base, bound, m_max)
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     # the two layers load here, once per search; module-level functions
     # pickle by reference, so the bound classifier reaches a pool as well
     from .skewform import least_stage
@@ -139,7 +149,7 @@ def run_search(
     # the smaller of the two comes first in corpus order: classify that one
     mirrors = [tuple(digits[-1] - x for x in reversed(digits)) for digits in corpus]
     jobs = [(digits, base, m_max) for digits, mirror in zip(corpus, mirrors) if digits <= mirror]
-    workers = min(workers, os.cpu_count() or 1)  # a fork pool starts all workers at once
+    workers = min(workers, CPUS)  # at most one per usable CPU: a fork pool starts all at once
     if workers > 1 and len(jobs) > 1:
         from concurrent.futures import ProcessPoolExecutor  # only pooled runs import it
 
@@ -186,14 +196,10 @@ def _cmd_analyze(args: argparse.Namespace, out: TextIO) -> int:
 
 
 def _cmd_search(args: argparse.Namespace, out: TextIO) -> int:
-    env = os.environ.get("TILESCOPE_WORKERS")
-    try:
-        workers = args.workers if env is None else int(env)
-    except ValueError:
-        raise ValueError(f"TILESCOPE_WORKERS must be an integer, got {env!r}") from None
     # arguments and cap, then --out, then the corpus: a rejected search
     # leaves --out as it was, and a path that cannot be opened costs no work
-    _check_search(args.base, args.bound, args.mmax, workers)
+    count = _check_search(args.base, args.bound, args.mmax)
+    workers = max(1, min(CPUS, count // SETS_PER_WORKER))
     with open(args.out, "w") if args.out else contextlib.nullcontext(out) as sink:
         records, summary = run_search(args.base, args.bound, args.mmax, workers)
         if args.json:
@@ -236,14 +242,15 @@ def _write_records(records: list[dict[str, Any]], summary: dict[str, Any], sink:
 
 def _cmd_render(args: argparse.Namespace, out: TextIO) -> int:
     d = DigitSet(args.base, tuple(_parse_digits(args.digits)))
+    # level, canvas, then --out, then covers: a failed check neither
+    # truncates --out nor costs work, and the canvas rule reads a checked level
+    _check_level(d.base, args.k)
     # 40-px margins on each side, and bands more than the 4-px gap high
     if not (80 < args.width <= MAX_CANVAS and 80 + 4 * args.k < args.height <= MAX_CANVAS):
         raise ValueError(
             f"width must be > 80 and height > {80 + 4 * args.k} for {args.k} levels, "
             f"both at most {MAX_CANVAS}, got {args.width}x{args.height}"
         )
-    # level, then --out, then covers: a failed check neither truncates --out nor costs work
-    _check_level(d.base, args.k)
     # search never loads geometry
     from .geometry import iter_covers, write_intervals_json, write_tower_svg
 
@@ -288,7 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("-b", "--base", type=int, required=True)
     p_search.add_argument("--bound", type=int, required=True)
     p_search.add_argument("--mmax", type=int, default=6)
-    p_search.add_argument("--workers", type=int, default=1)
     p_search.add_argument("--json", action="store_true")
     p_search.add_argument("--out", default=None)
     p_search.set_defaults(func=_cmd_search)

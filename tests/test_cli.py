@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import os
 import random
 import re
 import subprocess
@@ -314,8 +315,7 @@ class TestSearch:
         assert "summary" in payloads[-1]
         assert payloads[-1]["summary"]["count"] == len(lines) - 1
 
-    @pytest.mark.parametrize("via_env", [False, True])
-    def test_worker_count_clamped_to_cores(self, capsys, monkeypatch, via_env):
+    def test_worker_count_clamped_to_cores(self, monkeypatch):
         pools = []
 
         class RecordingPool:
@@ -333,24 +333,69 @@ class TestSearch:
             def map(self, fn, jobs, chunksize=1):
                 return map(fn, jobs)
 
-        args = ("search", "-b", "4", "--bound", "9", "--json")
-        _, single, _ = run_cli(capsys, *args)
+        single = run_search(4, 9, 6, workers=1)
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr("os.cpu_count", lambda: 2)
-        if via_env:
-            monkeypatch.setenv("TILESCOPE_WORKERS", "100000")
-            pooled = run_cli(capsys, *args)
-        else:
-            pooled = run_cli(capsys, *args, "--workers", "100000")
-        assert pooled == (0, single, "")
+        monkeypatch.setattr(cli, "CPUS", 2)
+        assert run_search(4, 9, 6, workers=100000) == single
         assert pools == [2]
 
-    def test_worker_env_override_is_deterministic(self, capsys, monkeypatch):
-        args = ("search", "-b", "4", "--bound", "9", "--json")
-        _, single, _ = run_cli(capsys, *args)
-        monkeypatch.setenv("TILESCOPE_WORKERS", "2")
-        _, parallel, _ = run_cli(capsys, *args)
-        assert single == parallel
+    @pytest.mark.parametrize(
+        "count, cpus, workers",
+        [
+            (0, 2, 1),
+            (19_999, 2, 1),
+            (20_000, 2, 2),
+            (367_616, 2, 2),  # (6, 36)
+            (0, 1, 1),
+            (20_000, 1, 1),
+            (367_616, 1, 1),
+            (500_000, 1, 1),
+            # the benchmark corpora at their largest bounds: (3, 64), (4, 35),
+            # (5, 14), (6, 12) and (7, 12)
+            (1_259, 2, 1),
+            (5_665, 2, 1),
+            (965, 2, 1),
+            (786, 2, 1),
+            (923, 2, 1),
+        ],
+    )
+    def test_worker_count_follows_the_corpus(self, capsys, monkeypatch, count, cpus, workers):
+        pools = []
+
+        def recording_search(base, bound, m_max, pool_size):
+            pools.append(pool_size)
+            return [], {}
+
+        monkeypatch.setattr(cli, "count_normalized", lambda base, bound: count)
+        monkeypatch.setattr(cli, "CPUS", cpus)
+        monkeypatch.setattr(cli, "run_search", recording_search)
+        code, out, err = run_cli(capsys, "search", "-b", "3", "--bound", "9", "--json")
+        assert (code, out, err) == (0, '{"summary": {}}\n', "")
+        assert pools == [workers]
+
+    def test_benchmark_corpora_run_serial(self):
+        sys.path.insert(0, str(PERFBENCH))
+        try:
+            from workloads import SEARCH_BOUNDS
+        finally:
+            sys.path.remove(str(PERFBENCH))
+        counts = [count_normalized(base, hi) for base, (_, hi) in SEARCH_BOUNDS.items()]
+        assert counts == [1_259, 5_665, 965, 786, 923]
+        assert max(counts) < 2 * cli.SETS_PER_WORKER
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no affinity mask")
+    def test_cpus_follow_the_affinity_mask(self):
+        # what ``taskset -c 0`` does to a launch: one CPU, so every search is serial
+        code = (
+            "import os\n"
+            "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            "import tilescope.cli\n"
+            "print(tilescope.cli.CPUS)\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        assert done.stdout == "1\n"
 
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "records.jsonl"
@@ -397,8 +442,6 @@ class TestSearch:
             (("-b", "12", "--bound", "64"), f"{count_normalized(12, 64)} digit sets exceed"),
             (("-b", "3", "--bound", "65"), "search bound 65 exceeds the default cap"),
             (("-b", "3", "--bound", "9", "--mmax", "0"), "m_max must be >= 1, got 0"),
-            (("-b", "3", "--bound", "10", "--workers", "-3"), "workers must be >= 1, got -3"),
-            (("-b", "3", "--bound", "10", "--workers", "0"), "workers must be >= 1, got 0"),
         ],
     )
     def test_rejected_search_leaves_out_file_as_it_was(self, capsys, tmp_path, argv, message):
@@ -407,15 +450,6 @@ class TestSearch:
         code, out, err = run_cli(capsys, "search", *argv, "--out", str(path))
         assert code == 2 and out == ""
         assert err.startswith(f"error: {message}")
-        assert path.read_text() == "kept"
-
-    @pytest.mark.parametrize("workers", ["0", "-3"])
-    def test_worker_variable_below_one_refused(self, capsys, monkeypatch, tmp_path, workers):
-        monkeypatch.setenv("TILESCOPE_WORKERS", workers)
-        path = tmp_path / "y.jsonl"
-        path.write_text("kept")
-        code, out, err = run_cli(capsys, "search", "-b", "3", "--bound", "10", "--out", str(path))
-        assert (code, out, err) == (2, "", f"error: workers must be >= 1, got {workers}\n")
         assert path.read_text() == "kept"
 
     def test_run_search_refuses_workers_below_one(self):
@@ -498,12 +532,6 @@ class TestSearch:
         serial = run_search(4, 16, 6, workers=1)
         pooled = run_search(4, 16, 6, workers=2)
         assert json.dumps(pooled) == json.dumps(serial)
-
-    def test_worker_env_must_be_an_integer(self, capsys, monkeypatch):
-        monkeypatch.setenv("TILESCOPE_WORKERS", "abc")
-        code, out, err = run_cli(capsys, "search", "-b", "3", "--bound", "10")
-        assert code == 2 and out == ""
-        assert err == "error: TILESCOPE_WORKERS must be an integer, got 'abc'\n"
 
     def test_stage_matches_analyze(self):
         records, summary = run_search(4, 12, 6, workers=1)
@@ -641,13 +669,27 @@ class TestRender:
             ("-b", "2", "-d", "0,1", "-k", "1", "--width", "1" + "0" * 400),
             ("-b", "2", "-d", "0,1", "-k", "1", "--height", "1" + "0" * 400),
             ("--width", "1000001"),
-            ("-b", "3", "-d", "0,1,2", "-k", "100000000", "--height", "1000000000"),
         ],
     )
     def test_size_must_leave_room_for_the_bands(self, capsys, argv):
         code, out, err = run_cli(capsys, "render", "-b", "4", "-d", "0,1,8,9", *argv)
         assert code == 2 and out == ""
         assert err.startswith("error: width must be > 80 and height > ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("-k", "-3", "--width", "5"), "error: level must be >= 1, got -3\n"),
+            (("-k", "100"), "error: level 100 too large for base 3"),
+            (("-k", "100000000", "--height", "1000000000"), "error: level 100000000 too large"),
+        ],
+        ids=["below-one", "over-cap", "huge"],
+    )
+    def test_level_checked_before_the_canvas(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "render", "-b", "3", "-d", "0,1,2", *argv)
+        assert code == 2 and out == ""
+        assert err.startswith(message)
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize("k", [1, 4, 10])
@@ -723,7 +765,6 @@ def cli_argv(draw):
     if command == "search":
         argv += ["--bound", str(draw(st.integers(-3, 14)))]
         option("--mmax", level)
-        option("--workers", st.integers(-2, 1).map(str))
     else:
         size = max(base, 0)
         digits = draw(
