@@ -4,8 +4,8 @@ Exit codes: 0 for a completed analysis (tile or not), 2 for parse or
 validation errors and for an --out path that cannot be opened, 3 when no
 level up to --mmax is in skew product form (inconclusive).  ``search``
 emits one JSON line per digit set followed by a summary line; it runs
-one worker per ``SETS_PER_WORKER`` sets of the corpus, at least one and at
-most one per usable CPU, so the benchmark's corpora run serial.
+serial below ``POOL_FROM_SETS`` sets of the corpus and in a pool of two
+workers from there, at most one per usable CPU.
 
 ``search`` classifies one set of each reflection pair.  D -> c - D with
 c = max D maps the normalized corpus onto itself and keeps every record
@@ -46,10 +46,12 @@ MAX_SEARCH_BOUND = 64
 # Largest ``render`` width and height: far past any display, far inside the
 # float range the SVG coordinates are computed in
 MAX_CANVAS = 1_000_000
-# Sets per ``search`` worker: the benchmark's corpora (at most 5 665 sets)
-# stay serial, and from 25 819 sets on a pool of two won 9 or 10 of 10
-# launches against serial on 2 vCPUs
-SETS_PER_WORKER = 10_000
+# Smallest ``search`` corpus that runs in a pool of two workers.  In 10
+# alternating pairs of launches per corpus on 2 vCPUs, against serial, the
+# pool won 8 to 10 of 10 on every corpus measured from 29 879 sets up, 4 to
+# 10 between 18 479 and 27 047, and at most 3 on all but one below 15 300.
+# Larger pools are unmeasured, so the pool stays at two
+POOL_FROM_SETS = 28_000
 # The CPUs this process may run on, read once: ``taskset`` limits the pool too
 CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
@@ -199,7 +201,7 @@ def _cmd_search(args: argparse.Namespace, out: TextIO) -> int:
     # arguments and cap, then --out, then the corpus: a rejected search
     # leaves --out as it was, and a path that cannot be opened costs no work
     count = _check_search(args.base, args.bound, args.mmax)
-    workers = max(1, min(CPUS, count // SETS_PER_WORKER))
+    workers = 2 if count >= POOL_FROM_SETS else 1
     with open(args.out, "w") if args.out else contextlib.nullcontext(out) as sink:
         records, summary = run_search(args.base, args.bound, args.mmax, workers)
         if args.json:

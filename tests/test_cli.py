@@ -1,6 +1,7 @@
 """Command-line surface: reports, exit codes, search, render."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -315,14 +316,14 @@ class TestSearch:
         assert "summary" in payloads[-1]
         assert payloads[-1]["summary"]["count"] == len(lines) - 1
 
-    def test_worker_count_clamped_to_cores(self, monkeypatch):
-        pools = []
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """The size of each pool ``run_search`` opens; the jobs run in this process."""
+        sizes = []
 
         class RecordingPool:
-            """Records its size and runs the jobs in this process."""
-
             def __init__(self, max_workers):
-                pools.append(max_workers)
+                sizes.append(max_workers)
 
             def __enter__(self):
                 return self
@@ -333,45 +334,33 @@ class TestSearch:
             def map(self, fn, jobs, chunksize=1):
                 return map(fn, jobs)
 
-        single = run_search(4, 9, 6, workers=1)
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
+        return sizes
+
+    def test_worker_count_clamped_to_cores(self, monkeypatch, pools):
+        single = run_search(4, 9, 6, workers=1)
         monkeypatch.setattr(cli, "CPUS", 2)
         assert run_search(4, 9, 6, workers=100000) == single
         assert pools == [2]
 
     @pytest.mark.parametrize(
-        "count, cpus, workers",
+        "count, cpus, pool",
         [
-            (0, 2, 1),
-            (19_999, 2, 1),
-            (20_000, 2, 2),
+            (0, 2, None),
+            (27_999, 2, None),
+            (28_000, 2, 2),
             (367_616, 2, 2),  # (6, 36)
-            (0, 1, 1),
-            (20_000, 1, 1),
-            (367_616, 1, 1),
-            (500_000, 1, 1),
-            # the benchmark corpora at their largest bounds: (3, 64), (4, 35),
-            # (5, 14), (6, 12) and (7, 12)
-            (1_259, 2, 1),
-            (5_665, 2, 1),
-            (965, 2, 1),
-            (786, 2, 1),
-            (923, 2, 1),
+            (500_000, 64, 2),  # the corpus cap: two workers, however many CPUs
+            (28_000, 1, None),
+            (500_000, 1, None),
         ],
     )
-    def test_worker_count_follows_the_corpus(self, capsys, monkeypatch, count, cpus, workers):
-        pools = []
-
-        def recording_search(base, bound, m_max, pool_size):
-            pools.append(pool_size)
-            return [], {}
-
+    def test_worker_count_follows_the_corpus(self, capsys, monkeypatch, pools, count, cpus, pool):
+        _, serial, _ = run_cli(capsys, "search", "-b", "3", "--bound", "9", "--json")
         monkeypatch.setattr(cli, "count_normalized", lambda base, bound: count)
         monkeypatch.setattr(cli, "CPUS", cpus)
-        monkeypatch.setattr(cli, "run_search", recording_search)
-        code, out, err = run_cli(capsys, "search", "-b", "3", "--bound", "9", "--json")
-        assert (code, out, err) == (0, '{"summary": {}}\n', "")
-        assert pools == [workers]
+        assert run_cli(capsys, "search", "-b", "3", "--bound", "9", "--json") == (0, serial, "")
+        assert pools == ([] if pool is None else [pool])
 
     def test_benchmark_corpora_run_serial(self):
         sys.path.insert(0, str(PERFBENCH))
@@ -381,7 +370,15 @@ class TestSearch:
             sys.path.remove(str(PERFBENCH))
         counts = [count_normalized(base, hi) for base, (_, hi) in SEARCH_BOUNDS.items()]
         assert counts == [1_259, 5_665, 965, 786, 923]
-        assert max(counts) < 2 * cli.SETS_PER_WORKER
+        assert max(counts) < cli.POOL_FROM_SETS
+
+    def test_serial_bytes_match_the_pooled_pin(self):
+        # ``search -b 5 --bound 31 --json`` in tests/test_pins.py: 29 879 sets,
+        # which the launch runs in a pool wherever it may use 2 CPUs
+        sink = io.StringIO()
+        cli._write_records(*run_search(5, 31, 6, workers=1), sink)
+        digest = hashlib.sha256(sink.getvalue().encode()).hexdigest()
+        assert digest == "a439efd610442b8a1b8e5c588fd7416c63b423c7f43d2a6a259130a1b56a614f"
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no affinity mask")
     def test_cpus_follow_the_affinity_mask(self):

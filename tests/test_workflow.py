@@ -1,4 +1,4 @@
-"""The CI workflow parses, runs tier-1 once per Python version, and the pins on one CPU."""
+"""The CI workflow parses, and runs tier-1 once per Python version."""
 
 import re
 from pathlib import Path
@@ -32,12 +32,3 @@ def test_tier1_runs_once_per_version():
     assert {plain_op, dev_op} == {"==", "!="} and plain_version == dev_version
     # so each step runs on some version of the matrix
     assert plain_version in job["strategy"]["matrix"]["python-version"]
-
-
-def test_pins_run_on_one_cpu():
-    # on one CPU every search launch is serial; tier-1 pools the larger corpora
-    job = yaml.safe_load(WORKFLOW.read_text())["jobs"]["tests"]
-    (step,) = [step for step in job["steps"] if "taskset -c 0" in step.get("run", "")]
-    assert "-m pytest -q tests/test_pins.py" in step["run"] and "PYTHONPATH=src" in step["run"]
-    op, version = VERSION_TEST.fullmatch(step["if"]).groups()
-    assert op == "==" and version in job["strategy"]["matrix"]["python-version"]
