@@ -106,25 +106,25 @@ def skew_decompose(
         vals = tuple(sorted(set(vals)))
     if len(vals) != base:
         raise ValueError(f"expected {base} values, got {len(vals)}")
-    # equal class sizes need a class count dividing base; most sets stop here
-    count = len(set(map(base.__rmod__, vals)))
-    if base % count:
-        return None
-    size = base // count
+    # the values ascend, so each class lists its minimum first, and the
+    # classes come in the order of their minima
+    classes: dict[int, list[int]] = {}
+    for v in vals:
+        classes.setdefault(v % base, []).append(v)
+    size, rest = divmod(base, len(classes))
+    if rest:
+        return None  # equal class sizes need a class count dividing base
     modulus = base**stage
-    by_class = sorted(vals, key=base.__rmod__)  # stable: ascending in each class
-    decomposed: list[tuple[int, tuple[int, ...]]] = []
-    for i in range(0, base, size):
-        cls = by_class[i : i + size]
+    reps: list[int] = []
+    blocks: list[tuple[int, ...]] = []
+    for cls in classes.values():
         a = cls[0]
-        if cls[-1] % base != a % base:
-            return None  # classes of unequal sizes
-        if any((v - a) % modulus != 0 for v in cls):
+        # a class mod base is constant mod base**1: only later stages test it
+        if len(cls) != size or (stage > 1 and any((v - a) % modulus for v in cls)):
             return None
-        decomposed.append((a, tuple((v - a) // modulus for v in cls)))
-    decomposed.sort()
-    reps = tuple(a for a, _ in decomposed)
-    dec = SkewDecomposition(base, stage, reps, tuple(b for _, b in decomposed))
+        reps.append(a)
+        blocks.append(tuple([(v - a) // modulus for v in cls]))
+    dec = SkewDecomposition(base, stage, tuple(reps), tuple(blocks))
     return dec if dec.complete else None
 
 

@@ -12,7 +12,11 @@ stop where they meet; their cost tracks the carries within that distance,
 not the span.  The witness comes from one pair of eager searches,
 ``_searches``: ``find_collision`` runs it on the carries of the shortest
 closed walks, and the reference ``oracles.collision_oracle`` on every
-carry.
+carry.  ``collision_level``, which needs the level and not the witness,
+first reads two cases from the digits: a complete residue system mod the
+base is a tile (the walk cannot leave carry 0), and a set whose b**2
+level-2 values repeat collides at level 2.  Only other sets build the
+automaton.
 
 The module also builds the decreasing chain of periodic sets obtained by
 iterating ``J -> b*J + D`` from Z, finds the exponent where it stabilizes,
@@ -278,9 +282,21 @@ def is_tile(d: DigitSet) -> tuple[bool, TileWitness | None]:
 def collision_level(d: DigitSet) -> int | None:
     """The first colliding expansion level, or None for a tile.
 
-    The level of :func:`is_tile`'s witness, from where the two searches
-    meet, without rebuilding the witness.
+    The level of :func:`is_tile`'s witness, without rebuilding the
+    witness.  Once the set passes the automaton's caps, two exits read the
+    level from the digits alone.  A complete residue system mod b is a
+    tile: no nonzero difference x - y is divisible by b, so F_1 is empty
+    and no walk leaves carry 0.  Level 1 never collides, as the b digits
+    are distinct, so L = 2 exactly when the b**2 level-2 values
+    x + b*y repeat.  Other sets take L from where the automaton's two
+    searches meet.
     """
+    base, digits = d.base, d.digits
+    _carry_bound(d)  # the caps refuse before either exit
+    if len({x % base for x in digits}) == base:
+        return None
+    if len({x + by for by in [base * y for y in digits] for x in digits}) < base * base:
+        return 2
     met = CarryAutomaton(d)._meet()
     return None if met is None else len(met[0]) + len(met[1]) - 2
 

@@ -812,6 +812,51 @@ class TestParser:
         assert done.stdout == "0\n"
 
 
+PACKAGE = {f"tilescope.{path.stem}" for path in Path(cli.__file__).parent.glob("*.py")}
+LAUNCH = {"tilescope", "tilescope.cli", "tilescope.core"}
+SEARCH = LAUNCH | {"tilescope.skewform", "tilescope.tiling"}
+
+
+class TestModulesPerCommand:
+    @pytest.mark.parametrize(
+        "argv, modules, json_loaded",
+        [
+            (["--help"], LAUNCH, False),
+            (["search", "-b", "3", "--bound", "7"], SEARCH, False),
+            (["search", "-b", "3", "--bound", "7", "--json"], SEARCH, True),
+            (["render", "-b", "3", "-d", "0,1,2", "-k", "2"], LAUNCH | {"tilescope.geometry"}, None),
+            (
+                ["analyze", "-b", "4", "-d", "0,1,8,9", "--json"],
+                PACKAGE - {"tilescope.__init__", "tilescope.oracles"} | {"tilescope"},
+                None,
+            ),
+        ],
+        ids=["help", "search", "search-json", "render", "analyze"],
+    )
+    def test_fresh_launch_loads_only_its_modules(self, argv, modules, json_loaded):
+        # a fresh interpreter per command: what an earlier test imported is not there
+        code = (
+            "import contextlib, io, sys\n"
+            "from tilescope.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    try:\n"
+            "        main(sys.argv[1:])\n"
+            "    except SystemExit:\n"  # --help
+            "        pass\n"
+            "loaded = [m for m in sys.modules if m.partition('.')[0] == 'tilescope']\n"
+            "print(' '.join(sorted(loaded)))\n"
+            "print('json' in sys.modules, 'fractions' in sys.modules)\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code, *argv], capture_output=True, text=True, check=True
+        )
+        loaded, flags = done.stdout.splitlines()
+        assert set(loaded.split()) == modules
+        assert "tilescope.oracles" not in loaded.split()
+        if json_loaded is not None:  # --help and search: json only for --json, no fractions
+            assert flags.split() == [str(json_loaded), "False"]
+
+
 class TestInstalledEntryPoint:
     def test_cli_import_leaves_numpy_out(self):
         code = "import sys, tilescope.cli; print('numpy' in sys.modules)"

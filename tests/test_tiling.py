@@ -168,7 +168,8 @@ class TestOnDemandAutomaton:
     def test_witness_matches_oracle(self, d):
         self.check_against_oracle(d)
 
-    @pytest.mark.parametrize("base, bound", [(3, 30), (4, 14)])
+    # the last three are where collision_level's level-2 exit settles most sets
+    @pytest.mark.parametrize("base, bound", [(3, 30), (4, 14), (5, 14), (6, 12), (7, 12)])
     def test_exhaustive_witness_matches_oracle(self, base, bound):
         for digits in enumerate_normalized(base, bound):
             self.check_against_oracle(DigitSet(base, digits))
@@ -218,10 +219,39 @@ class TestOnDemandAutomaton:
         assert witness.level == collision_level(d) == 14
 
     def test_cap_checked_by_every_entry(self):
-        d = DigitSet(3, (0, 1, 1 << 22))
-        for fn in (is_tile, collision_level, collision_oracle):
-            with pytest.raises(ValueError, match="carry automaton needs"):
-                fn(d)
+        over_cap = [
+            DigitSet(3, (0, 1, 1 << 22)),
+            # complete residue systems, which collision_level's digit exit
+            # would call tiles: the state cap and the digit-pair cap come first
+            DigitSet(3, (0, 1, (1 << 22) + 1)),
+            DigitSet(1449, tuple(range(1449))),
+        ]
+        for d in over_cap:
+            for fn in (is_tile, collision_level, collision_oracle):
+                with pytest.raises(ValueError, match="carry automaton needs"):
+                    fn(d)
+
+    def test_automaton_only_past_the_digit_exits(self, monkeypatch):
+        # collision_level reads complete residue systems (tiles) and level-2
+        # collisions from the digits; only the other sets build an automaton
+        built = []
+        init = CarryAutomaton.__init__
+
+        def counting(automaton, d):
+            built.append(d.digits)
+            init(automaton, d)
+
+        monkeypatch.setattr(CarryAutomaton, "__init__", counting)
+        corpus = [DigitSet(6, digits) for digits in enumerate_normalized(6, 12)]
+        for d in corpus:
+            collision_level(d)
+        past_exits = [
+            d.digits
+            for d in corpus
+            if sorted(x % 6 for x in d.digits) != list(range(6)) and is_tile_oracle(d, 2)
+        ]
+        assert built == past_exits
+        assert 0 < len(built) < len(corpus) == 786
 
     @settings(max_examples=8, deadline=None)
     @given(wide_digit_sets())
